@@ -364,10 +364,18 @@ class Parser
             return Json();
         }
         char c = src[pos];
-        if (c == '{')
-            return object();
-        if (c == '[')
-            return array();
+        if (c == '{' || c == '[') {
+            // Each level is a native stack frame; bound it so hostile
+            // input fails instead of overflowing the stack.
+            if (depth == maxDepth) {
+                fail("nesting too deep");
+                return Json();
+            }
+            ++depth;
+            Json v = c == '{' ? object() : array();
+            --depth;
+            return v;
+        }
         if (c == '"')
             return Json(string());
         if (literal("true"))
@@ -535,12 +543,19 @@ class Parser
             fail("malformed number");
             return Json();
         }
+        if (!std::isfinite(d)) {
+            fail("number out of range");
+            return Json();
+        }
         return Json(d);
     }
 
     const std::string &src;
     std::string *err;
     std::size_t pos = 0;
+    /** Open arrays/objects; capped at maxDepth. */
+    unsigned depth = 0;
+    static constexpr unsigned maxDepth = 512;
     bool failed = false;
 };
 

@@ -87,7 +87,9 @@ class Json
     /**
      * Parse a complete JSON document. On malformed input returns null
      * and, when `error` is given, stores a description with the byte
-     * offset.
+     * offset. Arrays and objects nested more than 512 deep fail with
+     * "nesting too deep"; numbers beyond the double range fail with
+     * "number out of range".
      */
     static Json parse(const std::string &text,
                       std::string *error = nullptr);

@@ -333,6 +333,19 @@ table7RowFigures(std::vector<Figure> &out, const Table7Row &r)
              paper.percentTimeInPrimitives);
 }
 
+/** The R3000 Table 7 grid with each cell reconciling counted kernel
+ *  events x primitive costs against the cycles the kernel actually
+ *  charged to primitives over the whole run. The counter session only
+ *  reads the simulation, so every Table 7 field equals the plain
+ *  machStudy grid's and the rows serve all three grid builders. */
+std::vector<Table7Row>
+kernelWindowGrid(ParallelRunner &runner)
+{
+    OsModelConfig config;
+    config.measureKernelWindow = true;
+    return runMachGrid(makeMachine(MachineId::R3000), runner, config);
+}
+
 } // namespace
 
 std::vector<Figure>
@@ -345,9 +358,14 @@ table7Figures()
 std::vector<Figure>
 table7Figures(ParallelRunner &runner)
 {
+    return table7Figures(Study::machStudy(MachineId::R3000, runner));
+}
+
+std::vector<Figure>
+table7Figures(const std::vector<Table7Row> &grid)
+{
     std::vector<Figure> out;
-    for (const Table7Row &r :
-         Study::machStudy(MachineId::R3000, runner))
+    for (const Table7Row &r : grid)
         table7RowFigures(out, r);
     return out;
 }
@@ -362,14 +380,19 @@ headlineFigures()
 std::vector<Figure>
 headlineFigures(ParallelRunner &runner)
 {
+    return headlineFigures(Study::machStudy(MachineId::R3000, runner));
+}
+
+std::vector<Figure>
+headlineFigures(const std::vector<Table7Row> &grid)
+{
     const PrimitiveCostDb &db = sharedCostDb();
     std::vector<Figure> out;
 
     // s5: andrew-remote address-space-switch inflation, 3.0 vs 2.5,
     // and the SPARC's syscall+switch overhead for the same script.
-    auto rows = Study::machStudy(MachineId::R3000, runner);
     double sw25 = 0, sw30 = 0;
-    for (const Table7Row &r : rows) {
+    for (const Table7Row &r : grid) {
         if (r.app != "andrew-remote")
             continue;
         double sw = static_cast<double>(r.addressSpaceSwitches);
@@ -382,7 +405,7 @@ headlineFigures(ParallelRunner &runner)
         out.push_back(fig("headlines",
                           "andrew_remote_switch_inflation", "x",
                           sw30 / sw25, 33.0));
-    for (const Table7Row &r : rows) {
+    for (const Table7Row &r : grid) {
         if (r.app != "andrew-remote" ||
             r.structure != OsStructure::SmallKernel)
             continue;
@@ -486,15 +509,14 @@ kernelWindowFigures()
 std::vector<Figure>
 kernelWindowFigures(ParallelRunner &runner)
 {
-    // The Table 7 grid again, this time with each cell reconciling
-    // counted kernel events x primitive costs against the cycles the
-    // kernel actually charged to primitives over the whole run.
-    OsModelConfig config;
-    config.measureKernelWindow = true;
-    MachineDesc machine = makeMachine(MachineId::R3000);
+    return kernelWindowFigures(kernelWindowGrid(runner));
+}
 
+std::vector<Figure>
+kernelWindowFigures(const std::vector<Table7Row> &grid)
+{
     std::vector<Figure> out;
-    for (const Table7Row &r : runMachGrid(machine, runner, config)) {
+    for (const Table7Row &r : grid) {
         const char *os = r.structure == OsStructure::Monolithic
                              ? "mach25"
                              : "mach30";
@@ -634,21 +656,25 @@ allFigures(ParallelRunner &runner)
 {
     using Builder = std::vector<Figure> (*)(ParallelRunner &);
     std::vector<Figure> out;
+    auto append = [&out](const std::vector<Figure> &part) {
+        out.insert(out.end(), part.begin(), part.end());
+    };
     for (Builder fn :
          {static_cast<Builder>(table1Figures),
           static_cast<Builder>(table2Figures),
           static_cast<Builder>(table3Figures),
           static_cast<Builder>(table4Figures),
           static_cast<Builder>(table5Figures),
-          static_cast<Builder>(table6Figures),
-          static_cast<Builder>(table7Figures),
-          static_cast<Builder>(headlineFigures),
-          static_cast<Builder>(countersFigures),
-          static_cast<Builder>(kernelWindowFigures),
-          static_cast<Builder>(calibrationFigures)}) {
-        auto part = fn(runner);
-        out.insert(out.end(), part.begin(), part.end());
-    }
+          static_cast<Builder>(table6Figures)})
+        append(fn(runner));
+    // One grid for its three readers; it is a local, so the next call
+    // simulates it again.
+    const std::vector<Table7Row> grid = kernelWindowGrid(runner);
+    append(table7Figures(grid));
+    append(headlineFigures(grid));
+    append(countersFigures(runner));
+    append(kernelWindowFigures(grid));
+    append(calibrationFigures(runner));
     return out;
 }
 

@@ -51,6 +51,7 @@ struct Figure
 };
 
 class ParallelRunner;
+struct Table7Row;
 
 /*
  * Every builder has two forms: the zero-argument original, and an
@@ -62,6 +63,12 @@ class ParallelRunner;
  * forms cannot drift apart. Figures always come back in table order —
  * the runner merges by task index, never completion order — so the
  * output is byte-identical at any job count.
+ *
+ * The three readers of the R3000 Table 7 grid (table7Figures,
+ * headlineFigures, kernelWindowFigures) also take the grid's rows, in
+ * runMachGrid order. Their runner forms simulate the grid and delegate
+ * to the row form; allFigures simulates it once and hands the same
+ * rows to all three.
  */
 
 /** Table 1: primitive times (us) per machine, vs paper. */
@@ -91,11 +98,13 @@ std::vector<Figure> table6Figures(ParallelRunner &runner);
 /** Table 7: Mach 2.5 vs 3.0 OS-primitive reliance, vs paper. */
 std::vector<Figure> table7Figures();
 std::vector<Figure> table7Figures(ParallelRunner &runner);
+std::vector<Figure> table7Figures(const std::vector<Table7Row> &grid);
 
 /** Headline prose anchors (context-switch inflation, SPARC overhead
  *  seconds, register-window share...). */
 std::vector<Figure> headlineFigures();
 std::vector<Figure> headlineFigures(ParallelRunner &runner);
+std::vector<Figure> headlineFigures(const std::vector<Table7Row> &grid);
 
 /** Hardware-counter reconciliation: percent of each Table 1
  *  machine x primitive's cycles explained by event counts times
@@ -108,6 +117,9 @@ std::vector<Figure> countersFigures(ParallelRunner &runner);
  *  counted kernel events times the machine's primitive costs. */
 std::vector<Figure> kernelWindowFigures();
 std::vector<Figure> kernelWindowFigures(ParallelRunner &runner);
+/** `grid` must come from a config with measureKernelWindow set. */
+std::vector<Figure>
+kernelWindowFigures(const std::vector<Table7Row> &grid);
 
 /** Per-machine counter calibration: the §2.3/§3.2 event rates the
  *  paper argues from — write-buffer stalls per store (DS3100's R2000
@@ -116,7 +128,10 @@ std::vector<Figure> kernelWindowFigures(ParallelRunner &runner);
 std::vector<Figure> calibrationFigures();
 std::vector<Figure> calibrationFigures(ParallelRunner &runner);
 
-/** All of the above, in table order. */
+/** All of the above, in table order. The R3000 Table 7 grid is
+ *  simulated once per call, with measureKernelWindow set, and read by
+ *  all three grid builders. Nothing outlives the call, so every call
+ *  simulates the grid afresh. */
 std::vector<Figure> allFigures();
 std::vector<Figure> allFigures(ParallelRunner &runner);
 

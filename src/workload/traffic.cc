@@ -1,7 +1,9 @@
 #include "workload/traffic.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
+#include <cstdio>
 #include <functional>
 
 #include "sim/counters/counters.hh"
@@ -419,6 +421,41 @@ const char *
 trafficModeName(TrafficMode m)
 {
     return m == TrafficMode::Open ? "open" : "closed";
+}
+
+std::string
+trafficConfigError(const TrafficConfig &cfg)
+{
+    auto num = [](double v) {
+        char buf[32];
+        std::snprintf(buf, sizeof buf, "%g", v);
+        return std::string(buf);
+    };
+    if (cfg.requestsPerLevel == 0 ||
+        cfg.requestsPerLevel > trafficMaxRequests)
+        return "requests per level must be 1.." +
+               std::to_string(trafficMaxRequests) + ", got " +
+               std::to_string(cfg.requestsPerLevel);
+    if (cfg.levels.empty())
+        return "no load levels";
+    for (double l : cfg.levels) {
+        if (cfg.mode == TrafficMode::Open &&
+            !(std::isfinite(l) && l > 0.0 && l <= trafficMaxOpenLoad))
+            return "open-loop load levels must be > 0 and <= " +
+                   num(trafficMaxOpenLoad) + " (x capacity), got " +
+                   num(l);
+        if (cfg.mode == TrafficMode::Closed &&
+            !(std::isfinite(l) && l >= 1.0 &&
+              l <= static_cast<double>(trafficMaxClients) &&
+              std::floor(l) == l))
+            return "closed-loop load levels must be whole client "
+                   "counts 1.." +
+                   std::to_string(trafficMaxClients) + ", got " + num(l);
+    }
+    if (!(std::isfinite(cfg.thinkFactor) && cfg.thinkFactor >= 0.0))
+        return "think factor must be finite and >= 0, got " +
+               num(cfg.thinkFactor);
+    return "";
 }
 
 Json

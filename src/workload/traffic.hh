@@ -30,6 +30,7 @@
 #define AOSD_WORKLOAD_TRAFFIC_HH
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "arch/machines.hh"
@@ -79,6 +80,25 @@ struct TrafficConfig
     /** Machines to sweep; empty selects the Table 1 machines. */
     std::vector<MachineId> machines;
 };
+
+/** Largest request count per cell a sweep may ask for (the open loop
+ *  keeps one completion time per request). */
+constexpr std::uint64_t trafficMaxRequests = 100'000'000;
+/** Largest open-loop offered load, as a multiple of capacity. */
+constexpr double trafficMaxOpenLoad = 100.0;
+/** Largest closed-loop client population. */
+constexpr std::uint64_t trafficMaxClients = 1'000'000;
+
+/**
+ * Why `cfg` is not a sweep a user may ask for, or "" when it is:
+ * 1..trafficMaxRequests requests per cell; at least one level; open
+ * loop levels finite, > 0 and <= trafficMaxOpenLoad; closed loop
+ * levels whole client counts in 1..trafficMaxClients; a finite
+ * thinkFactor >= 0. The message is one line naming the bad value.
+ * buildTrafficDoc does not check: it rounds closed-loop levels to the
+ * nearest population of at least one client.
+ */
+std::string trafficConfigError(const TrafficConfig &cfg);
 
 /**
  * Run the whole sweep — every (machine × load level) cell fanned over

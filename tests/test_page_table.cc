@@ -26,6 +26,13 @@ struct NamedFactory
     Factory make;
 };
 
+// Without this gtest prints the raw bytes of the param (pointers), which
+// makes the discovered test names differ from build to build.
+void PrintTo(const NamedFactory &f, std::ostream *os)
+{
+    *os << f.name;
+}
+
 const NamedFactory factories[] = {
     {"linear", [] { return makeLinearPageTable((1ULL << 20) - 1); }},
     {"multilevel", [] { return makeMultiLevelPageTable(); }},

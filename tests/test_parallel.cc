@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <set>
 #include <stdexcept>
@@ -26,6 +27,7 @@
 #include "sim/profile/profile.hh"
 #include "sim/stats.hh"
 #include "study/counters_report.hh"
+#include "study/figures.hh"
 #include "study/profile_report.hh"
 #include "study/report.hh"
 
@@ -350,6 +352,41 @@ TEST(DeterminismTest, ReportByteIdenticalAcrossJobCounts)
     Json serial_doc = buildReport(serial);
     Json wide_doc = buildReport(wide);
     EXPECT_EQ(serial_doc.dump(1), wide_doc.dump(1));
+}
+
+// allFigures simulates the Table 7 grid once and hands it to all three
+// grid builders; each builder's runner form simulates its own grid.
+// Both paths must give the same figures, bit for bit.
+TEST(DeterminismTest, GridBuildersMatchTheSharedGrid)
+{
+    for (unsigned jobs : {1u, 4u}) {
+        ParallelRunner runner(jobs);
+        std::vector<Figure> all = allFigures(runner);
+        using Builder = std::vector<Figure> (*)(ParallelRunner &);
+        for (Builder fn : {static_cast<Builder>(table7Figures),
+                           static_cast<Builder>(headlineFigures),
+                           static_cast<Builder>(kernelWindowFigures)}) {
+            std::vector<Figure> part = fn(runner);
+            ASSERT_FALSE(part.empty());
+            for (const Figure &f : part) {
+                auto it = std::find_if(
+                    all.begin(), all.end(), [&f](const Figure &g) {
+                        return g.table == f.table && g.id == f.id;
+                    });
+                ASSERT_NE(it, all.end()) << f.id << " at jobs " << jobs;
+                EXPECT_EQ(it->sim, f.sim) << f.id << " at jobs " << jobs;
+            }
+        }
+    }
+}
+
+// No state outlives a report: the second build simulates everything
+// again and must dump the same bytes.
+TEST(DeterminismTest, BackToBackReportsAreIdentical)
+{
+    ParallelRunner runner(4);
+    std::string first = buildReport(runner).dump(1);
+    EXPECT_EQ(first, buildReport(runner).dump(1));
 }
 
 } // namespace

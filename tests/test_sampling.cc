@@ -12,6 +12,7 @@
 #include <string>
 
 #include "arch/machines.hh"
+#include "cpu/primitive_costs.hh"
 #include "sim/counters/counters.hh"
 #include "sim/counters/reconcile.hh"
 #include "sim/parallel/parallel_runner.hh"
@@ -187,6 +188,46 @@ TEST_F(SamplingTest, SamplingLeavesTable7RowUnchanged)
 
     expectSameRow(base, row);
     EXPECT_GE(row.timeseries.samples.size(), 10u);
+}
+
+// The report simulates the R3000 grid once, with the kernel window on,
+// and reads Table 7 from it: that is exact only if the counter session
+// never feeds back into the simulation, bit for bit.
+TEST_F(SamplingTest, KernelWindowLeavesTable7GridUnchanged)
+{
+    // machStudy takes the machine from the cost db, the kernel-window
+    // grid from makeMachine; both must be the same R3000.
+    EXPECT_TRUE(sharedCostDb().machine(MachineId::R3000) ==
+                makeMachine(MachineId::R3000));
+
+    ParallelRunner runner(1);
+    MachineDesc machine = makeMachine(MachineId::R3000);
+    OsModelConfig cfg;
+    cfg.measureKernelWindow = true;
+    std::vector<Table7Row> plain = runMachGrid(machine, runner);
+    std::vector<Table7Row> windowed = runMachGrid(machine, runner, cfg);
+
+    ASSERT_EQ(plain.size(), 14u);
+    ASSERT_EQ(windowed.size(), plain.size());
+    for (std::size_t i = 0; i < plain.size(); ++i) {
+        const Table7Row &a = plain[i];
+        const Table7Row &b = windowed[i];
+        EXPECT_FALSE(a.hasKernelWindow);
+        EXPECT_TRUE(b.hasKernelWindow);
+        EXPECT_EQ(a.app, b.app);
+        EXPECT_EQ(a.structure, b.structure) << a.app;
+        EXPECT_EQ(a.elapsedSeconds, b.elapsedSeconds) << a.app;
+        EXPECT_EQ(a.addressSpaceSwitches, b.addressSpaceSwitches)
+            << a.app;
+        EXPECT_EQ(a.threadSwitches, b.threadSwitches) << a.app;
+        EXPECT_EQ(a.systemCalls, b.systemCalls) << a.app;
+        EXPECT_EQ(a.emulatedInstructions, b.emulatedInstructions)
+            << a.app;
+        EXPECT_EQ(a.kernelTlbMisses, b.kernelTlbMisses) << a.app;
+        EXPECT_EQ(a.otherExceptions, b.otherExceptions) << a.app;
+        EXPECT_EQ(a.percentTimeInPrimitives, b.percentTimeInPrimitives)
+            << a.app;
+    }
 }
 
 TEST_F(SamplingTest, EveryTable7CellEmitsAtLeastTenSamples)

@@ -74,6 +74,43 @@ TEST(JsonTest, ParseRejectsMalformedInput)
     }
 }
 
+TEST(JsonTest, ParseBoundsNestingDepth)
+{
+    // 100k levels would overflow the stack of a recursive parser.
+    std::string err;
+    Json v = Json::parse(std::string(100'000, '['), &err);
+    EXPECT_TRUE(v.isNull());
+    EXPECT_NE(err.find("nesting too deep"), std::string::npos) << err;
+
+    // 512 levels is the limit, not an error.
+    std::string deep = std::string(512, '[') + std::string(512, ']');
+    err.clear();
+    v = Json::parse(deep, &err);
+    EXPECT_TRUE(err.empty()) << err;
+    EXPECT_TRUE(v.isArray());
+    err.clear();
+    Json::parse("[" + deep + "]", &err);
+    EXPECT_NE(err.find("nesting too deep"), std::string::npos) << err;
+}
+
+TEST(JsonTest, ParseRejectsOutOfRangeNumbers)
+{
+    for (const char *bad :
+         {"{\"a\":1e999999}", "[-1e400]", "1e309"}) {
+        std::string err;
+        Json v = Json::parse(bad, &err);
+        EXPECT_TRUE(v.isNull()) << bad;
+        EXPECT_NE(err.find("number out of range"), std::string::npos)
+            << bad << ": " << err;
+    }
+    std::string err;
+    EXPECT_EQ(Json::parse("[1.7976931348623157e308]", &err)
+                  .at(0)
+                  .asNumber(),
+              1.7976931348623157e308);
+    EXPECT_TRUE(err.empty()) << err;
+}
+
 TEST(JsonTest, ObjectPreservesInsertionOrder)
 {
     Json doc = Json::object();

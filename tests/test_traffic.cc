@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 
 #include "arch/machines.hh"
@@ -254,6 +255,68 @@ TEST_F(TrafficTest, PerfDbIngestDigestsOutExemplars)
     }
     EXPECT_TRUE(saw_p99);
     EXPECT_TRUE(saw_explained);
+}
+
+TEST_F(TrafficTest, ConfigErrorAcceptsDefaultsAndSaneSweeps)
+{
+    EXPECT_EQ(trafficConfigError(TrafficConfig{}), "");
+    EXPECT_EQ(trafficConfigError(smallConfig()), "");
+
+    TrafficConfig closed;
+    closed.mode = TrafficMode::Closed;
+    closed.levels = {1, 4, 16, 64};
+    closed.thinkFactor = 0;
+    EXPECT_EQ(trafficConfigError(closed), "");
+
+    TrafficConfig edges;
+    edges.requestsPerLevel = trafficMaxRequests;
+    edges.levels = {1e-9, trafficMaxOpenLoad};
+    EXPECT_EQ(trafficConfigError(edges), "");
+}
+
+TEST_F(TrafficTest, ConfigErrorRejectsBadSweeps)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    auto rejects = [](const TrafficConfig &cfg, const char *what) {
+        std::string err = trafficConfigError(cfg);
+        EXPECT_NE(err.find(what), std::string::npos)
+            << "'" << err << "' lacks '" << what << "'";
+        EXPECT_EQ(err.find('\n'), std::string::npos) << err;
+    };
+
+    TrafficConfig cfg;
+    cfg.requestsPerLevel = 0;
+    rejects(cfg, "requests per level");
+    // What strtoull makes of "-5".
+    cfg.requestsPerLevel = static_cast<std::uint64_t>(-5);
+    rejects(cfg, "requests per level");
+    cfg.requestsPerLevel = trafficMaxRequests + 1;
+    rejects(cfg, "requests per level");
+
+    cfg = TrafficConfig{};
+    cfg.levels.clear();
+    rejects(cfg, "no load levels");
+    for (double l : {0.0, -1.0, 1e30, trafficMaxOpenLoad * 1.01, inf,
+                     nan}) {
+        cfg.levels = {0.5, l};
+        rejects(cfg, "open-loop load levels");
+    }
+
+    cfg = TrafficConfig{};
+    cfg.mode = TrafficMode::Closed;
+    for (double l : {0.3, 0.0, -4.0, 2.5, 1e30, inf, nan}) {
+        cfg.levels = {4, l};
+        rejects(cfg, "closed-loop load levels");
+    }
+    cfg.levels = {static_cast<double>(trafficMaxClients) + 1};
+    rejects(cfg, "closed-loop load levels");
+
+    cfg = TrafficConfig{};
+    for (double t : {-3.0, inf, nan}) {
+        cfg.thinkFactor = t;
+        rejects(cfg, "think factor");
+    }
 }
 
 TEST_F(TrafficTest, ReplayEventMixIsDeterministicAndCoversCounters)

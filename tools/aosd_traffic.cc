@@ -26,9 +26,16 @@
  * million-request sweeps affordable; --no-batch runs the same sweep
  * through the per-event loops and CI cmp-gates that the JSON is
  * byte-identical.
+ *
+ * Every numeric flag must parse as a whole token, and the sweep must
+ * pass trafficConfigError(); otherwise the tool prints one line and
+ * exits 2.
  */
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -48,6 +55,9 @@ using namespace aosd;
 namespace
 {
 
+/** Most worker threads --jobs may ask for. */
+constexpr std::uint64_t maxJobs = 1024;
+
 void
 usage(const char *argv0)
 {
@@ -63,20 +73,23 @@ usage(const char *argv0)
         "                 fraction of kernel capacity); closed: load =\n"
         "                 client population with think time\n"
         "  --arrival A    open-loop gap process (default uniform)\n"
-        "  --requests N   requests per (machine x level) cell\n"
-        "                 (default 100000)\n"
-        "  --levels CSV   load levels (default 0.3,0.6,0.9,1.2)\n"
+        "  --requests N   requests per (machine x level) cell, 1 to\n"
+        "                 100000000 (default 100000)\n"
+        "  --levels CSV   load levels: open, > 0 and <= 100 (default\n"
+        "                 0.3,0.6,0.9,1.2); closed, whole client counts\n"
+        "                 from 1 to 1000000 (required)\n"
         "  --machines CSV machine slugs (default: Table 1 machines)\n"
         "  --think F      closed-loop think time as a multiple of the\n"
-        "                 mean service time (default 5)\n"
+        "                 mean service time, >= 0 (default 5)\n"
         "  --seed N       sweep seed (default 0x5eedf00d)\n"
         "  --exemplars K  slowest requests kept per cell (default 5)\n"
         "  --min-explained PCT\n"
         "                 fail unless every cell's kernel window\n"
         "                 explains at least PCT%% of its primitive\n"
         "                 cycles (default 99.999)\n"
-        "  --jobs N       worker threads (default: all cores;\n"
-        "                 1 = serial; output is identical either way)\n"
+        "  --jobs N       worker threads, at most 1024 (default: all\n"
+        "                 cores; 1 = serial; output is identical either\n"
+        "                 way)\n"
         "  --no-batch     charge every kernel event one at a time\n"
         "                 (reference path; output is identical — CI\n"
         "                 cmp-gates it)\n"
@@ -95,6 +108,36 @@ writeFile(const std::string &path, const std::string &content)
         return false;
     }
     out << content;
+    return true;
+}
+
+/** The whole of `s` as an unsigned integer (decimal, 0x hex or 0
+ *  octal); false on a sign, junk or overflow. */
+bool
+parseUint(const std::string &s, std::uint64_t &out)
+{
+    if (s.empty() || !std::isdigit(static_cast<unsigned char>(s[0])))
+        return false;
+    errno = 0;
+    char *end = nullptr;
+    unsigned long long v = std::strtoull(s.c_str(), &end, 0);
+    if (errno == ERANGE || end != s.c_str() + s.size())
+        return false;
+    out = v;
+    return true;
+}
+
+/** The whole of `s` as a finite number; false on junk, inf or nan. */
+bool
+parseNumber(const std::string &s, double &out)
+{
+    if (s.empty() || std::isspace(static_cast<unsigned char>(s[0])))
+        return false;
+    char *end = nullptr;
+    double v = std::strtod(s.c_str(), &end);
+    if (end != s.c_str() + s.size() || !std::isfinite(v))
+        return false;
+    out = v;
     return true;
 }
 
@@ -195,6 +238,12 @@ main(int argc, char **argv)
             return true;
         };
         std::string val;
+        auto bad = [&](const char *want) {
+            std::fprintf(stderr, "%s: %s wants %s, got '%s'\n", argv[0],
+                         arg.c_str(), want, val.c_str());
+            return 2;
+        };
+        std::uint64_t u = 0;
         if (arg == "--json") {
             json_out = true;
             if (i + 1 < argc && argv[i + 1][0] != '-')
@@ -226,16 +275,17 @@ main(int argc, char **argv)
         } else if (arg == "--requests") {
             if (!takesValue(val))
                 return 2;
-            cfg.requestsPerLevel = std::strtoull(val.c_str(), nullptr, 0);
+            if (!parseUint(val, cfg.requestsPerLevel))
+                return bad("a whole number");
         } else if (arg == "--levels") {
             if (!takesValue(val))
                 return 2;
             cfg.levels.clear();
-            for (const std::string &p : splitCsv(val))
-                cfg.levels.push_back(std::strtod(p.c_str(), nullptr));
-            if (cfg.levels.empty()) {
-                usage(argv[0]);
-                return 2;
+            for (const std::string &p : splitCsv(val)) {
+                double level = 0;
+                if (!parseNumber(p, level))
+                    return bad("comma-separated numbers");
+                cfg.levels.push_back(level);
             }
         } else if (arg == "--machines") {
             if (!takesValue(val))
@@ -246,25 +296,31 @@ main(int argc, char **argv)
         } else if (arg == "--think") {
             if (!takesValue(val))
                 return 2;
-            cfg.thinkFactor = std::strtod(val.c_str(), nullptr);
+            if (!parseNumber(val, cfg.thinkFactor))
+                return bad("a number");
         } else if (arg == "--seed") {
             if (!takesValue(val))
                 return 2;
-            cfg.seed = std::strtoull(val.c_str(), nullptr, 0);
+            if (!parseUint(val, cfg.seed))
+                return bad("a whole number");
         } else if (arg == "--exemplars") {
             if (!takesValue(val))
                 return 2;
-            cfg.exemplars = std::strtoull(val.c_str(), nullptr, 0);
+            if (!parseUint(val, u))
+                return bad("a whole number");
+            cfg.exemplars = u;
         } else if (arg == "--min-explained") {
             if (!takesValue(val))
                 return 2;
-            min_explained = std::strtod(val.c_str(), nullptr);
+            if (!parseNumber(val, min_explained))
+                return bad("a number");
         } else if (arg == "--jobs") {
             if (!takesValue(val))
                 return 2;
-            jobs = static_cast<unsigned>(std::atoi(val.c_str()));
-            if (jobs == 0)
-                jobs = ParallelRunner::defaultJobs();
+            if (!parseUint(val, u) || u > maxJobs)
+                return bad("a whole number from 0 to 1024");
+            jobs = u == 0 ? ParallelRunner::defaultJobs()
+                          : static_cast<unsigned>(u);
         } else if (arg == "--no-batch") {
             setBatchEnabled(false);
         } else if (arg == "--no-predecode") {
@@ -276,6 +332,11 @@ main(int argc, char **argv)
             usage(argv[0]);
             return 2;
         }
+    }
+    std::string problem = trafficConfigError(cfg);
+    if (!problem.empty()) {
+        std::fprintf(stderr, "%s: %s\n", argv[0], problem.c_str());
+        return 2;
     }
 
     ParallelRunner runner(jobs);
