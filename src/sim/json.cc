@@ -1,6 +1,7 @@
 #include "sim/json.hh"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -136,10 +137,14 @@ Json::items() const
     return obj;
 }
 
-std::string
-jsonQuote(const std::string &s)
+namespace
 {
-    std::string out = "\"";
+
+/** Append `s` to `out` as a quoted, escaped JSON string. */
+void
+appendQuoted(std::string &out, const std::string &s)
+{
+    out += '"';
     for (char c : s) {
         switch (c) {
           case '"':
@@ -168,33 +173,36 @@ jsonQuote(const std::string &s)
         }
     }
     out += '"';
-    return out;
 }
 
-namespace
+/**
+ * Append `d`: whole numbers below 1e15 as integers, other finite values
+ * as the shortest "%.{p}g" that round-trips, NaN and inf as null.
+ */
+void
+appendNumber(std::string &out, double d)
 {
-
-/** Shortest-roundtrip-ish number formatting: integers stay integral. */
-std::string
-formatNumber(double d)
-{
-    if (std::isnan(d) || std::isinf(d))
-        return "null"; // JSON has no NaN/Inf
-    if (d == std::floor(d) && std::fabs(d) < 1e15) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%.0f", d);
-        return buf;
-    }
     char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", d);
-    // Trim to the shortest representation that round-trips.
-    for (int prec = 1; prec < 17; ++prec) {
-        char probe[32];
-        std::snprintf(probe, sizeof(probe), "%.*g", prec, d);
-        if (std::strtod(probe, nullptr) == d)
-            return probe;
+    if (!std::isfinite(d)) {
+        out += "null"; // JSON has no NaN/Inf
+    } else if (d == std::floor(d) && std::fabs(d) < 1e15) {
+        // Exact, with "%.0f"'s "-0" for negative zero.
+        out.append(buf, std::to_chars(buf, buf + sizeof(buf), d,
+                                      std::chars_format::fixed).ptr);
+    } else {
+        // to_chars writes the fewest digits that round-trip, so no
+        // shorter "%.{p}g" can: start the search at its digit count.
+        // "%.17g" always round-trips.
+        char *end = std::to_chars(buf, buf + sizeof(buf), d,
+                                  std::chars_format::scientific).ptr;
+        int prec = 0;
+        for (char *c = buf; c != end && *c != 'e'; ++c)
+            prec += std::isdigit(static_cast<unsigned char>(*c)) ? 1 : 0;
+        int n = std::snprintf(buf, sizeof(buf), "%.*g", prec, d);
+        while (prec < 17 && std::strtod(buf, nullptr) != d)
+            n = std::snprintf(buf, sizeof(buf), "%.*g", ++prec, d);
+        out.append(buf, static_cast<std::size_t>(n));
     }
-    return buf;
 }
 
 } // namespace
@@ -217,10 +225,10 @@ Json::dumpTo(std::string &out, int indent, int depth) const
         out += boolValue ? "true" : "false";
         break;
       case Kind::Number:
-        out += formatNumber(numValue);
+        appendNumber(out, numValue);
         break;
       case Kind::String:
-        out += jsonQuote(strValue);
+        appendQuoted(out, strValue);
         break;
       case Kind::Array:
         if (arr.empty()) {
@@ -247,7 +255,7 @@ Json::dumpTo(std::string &out, int indent, int depth) const
             if (i)
                 out += ',';
             newline(depth + 1);
-            out += jsonQuote(obj[i].first);
+            appendQuoted(out, obj[i].first);
             out += indent < 0 ? ":" : ": ";
             obj[i].second.dumpTo(out, indent, depth + 1);
         }

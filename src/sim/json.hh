@@ -107,9 +107,6 @@ class Json
     std::vector<std::pair<std::string, Json>> obj;
 };
 
-/** Escape a string for embedding in JSON (adds surrounding quotes). */
-std::string jsonQuote(const std::string &s);
-
 } // namespace aosd
 
 #endif // AOSD_SIM_JSON_HH

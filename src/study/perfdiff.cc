@@ -16,7 +16,9 @@ flattenInto(const Json &node, const std::string &prefix,
 {
     switch (node.kind()) {
       case Json::Kind::Number:
-        if (!std::isnan(node.asNumber()))
+        // dump() writes NaN and inf as null, which carries no figure;
+        // skip them here too so a document diffs as its dump would.
+        if (std::isfinite(node.asNumber()))
             out.push_back({prefix, node.asNumber()});
         return;
 

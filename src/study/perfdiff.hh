@@ -60,8 +60,9 @@ struct PerfDiff
 /**
  * Depth-first flatten of every numeric leaf under `doc`. Object keys
  * join with '.', array elements with their index; non-numeric leaves
- * (strings, bools, nulls) are skipped. NaN leaves are skipped too:
- * report.json uses NaN-serialized-as-null for "paper has no value".
+ * (strings, bools, nulls) are skipped. Non-finite leaves are skipped
+ * too, as dump() writes them as null: report.json uses NaN for "paper
+ * has no value", and an in-memory document flattens as its dump would.
  */
 std::vector<PerfLeaf> flattenNumericLeaves(const Json &doc);
 

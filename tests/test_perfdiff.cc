@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "study/perfdiff.hh"
@@ -57,6 +58,30 @@ TEST(PerfDiff, FlattensNumericLeavesToDottedPaths)
     EXPECT_EQ(leaves[2].path, "a.c.1");
     EXPECT_DOUBLE_EQ(leaves[2].value, 20.0);
     EXPECT_EQ(leaves[3].path, "top");
+}
+
+TEST(PerfDiff, NonFiniteLeavesFlattenAsTheirDumpDoes)
+{
+    Json doc = Json::object();
+    doc.set("pos_inf", Json(std::numeric_limits<double>::infinity()));
+    doc.set("neg_inf", Json(-std::numeric_limits<double>::infinity()));
+    doc.set("nan", Json(std::numeric_limits<double>::quiet_NaN()));
+    Json arr = Json::array();
+    arr.push(Json(1.5));
+    arr.push(Json(std::numeric_limits<double>::infinity()));
+    doc.set("arr", std::move(arr));
+
+    PerfDiff diff = diffPerfDocs(doc, doc, 0.01);
+    EXPECT_TRUE(diff.ok());
+    EXPECT_EQ(diff.compared, 1u);
+
+    auto leaves = flattenNumericLeaves(doc);
+    auto dumped = flattenNumericLeaves(parse(doc.dump()));
+    ASSERT_EQ(leaves.size(), dumped.size());
+    for (std::size_t i = 0; i < leaves.size(); ++i) {
+        EXPECT_EQ(leaves[i].path, dumped[i].path);
+        EXPECT_EQ(leaves[i].value, dumped[i].value);
+    }
 }
 
 TEST(PerfDiff, IdenticalDocumentsDiffClean)

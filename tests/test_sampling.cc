@@ -4,11 +4,16 @@
  * wiring: off-by-default no-op behavior, ring-buffer drop semantics,
  * per-cell sample counts across the Table 7 grid, series JSON shape,
  * Perfetto counter tracks, byte-identical timeseries documents at any
- * job count, and the kernel-window cycles-explained cross-check.
+ * job count, the kernel-window cycles-explained cross-check, and the
+ * recorded bytes of the timeseries and kernel-window documents.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include "arch/machines.hh"
@@ -18,6 +23,7 @@
 #include "sim/parallel/parallel_runner.hh"
 #include "sim/sampling/sampler.hh"
 #include "sim/trace.hh"
+#include "study/counters_report.hh"
 #include "study/timeseries_report.hh"
 #include "workload/app_profile.hh"
 #include "workload/os_model.hh"
@@ -340,6 +346,43 @@ TEST_F(SamplingTest, TimeseriesDocIdenticalAcrossJobCounts)
     EXPECT_EQ(doc.at("schema_version").asUint(),
               static_cast<std::uint64_t>(timeseriesSchemaVersion));
     EXPECT_EQ(doc.at("table7").at("cells").size(), 14u);
+}
+
+/** 64-bit FNV-1a as hex, the digest perfbench/digests.json records. */
+std::string
+fnv1a(const std::string &text)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (unsigned char ch : text) {
+        h ^= ch;
+        h *= 0x100000001b3ULL;
+    }
+    char buf[17];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(h));
+    return buf;
+}
+
+// The two largest documents have no golden; their recorded digests pin
+// every byte, number formatting included, which comparing two runs of
+// the same build cannot.
+TEST_F(SamplingTest, LargestDocsMatchRecordedDigests)
+{
+    std::ifstream in(std::string(AOSD_SOURCE_DIR) +
+                     "/perfbench/digests.json");
+    ASSERT_TRUE(in) << "cannot read perfbench/digests.json";
+    std::ostringstream text;
+    text << in.rdbuf();
+    Json digests = Json::parse(text.str());
+    ASSERT_TRUE(digests.isObject());
+
+    ParallelRunner runner(4);
+    EXPECT_EQ(fnv1a(buildTimeseriesDoc(runner).dump(1)),
+              digests.at("timeseries").asString());
+    EXPECT_EQ(fnv1a(buildKernelWindowsDoc(makeMachine(MachineId::R3000),
+                                          runner)
+                        .dump(1)),
+              digests.at("kernel_windows").asString());
 }
 
 } // namespace

@@ -1,11 +1,21 @@
 /**
  * @file
- * Tests for the observability layer: JSON round-trips of the
- * StatRegistry, trace ring-buffer overflow behaviour, and event
- * ordering under a simulated context switch.
+ * Tests for the observability layer: the JSON number writer against
+ * an exhaustive probe, JSON round-trips of the StatRegistry, trace
+ * ring-buffer overflow behaviour, and event ordering under a
+ * simulated context switch.
  */
 
 #include <gtest/gtest.h>
+
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
+#include <random>
+#include <vector>
 
 #include "arch/machines.hh"
 #include "os/kernel/kernel.hh"
@@ -61,6 +71,107 @@ TEST(JsonTest, DumpParseRoundTrip)
         EXPECT_TRUE(back == doc) << doc.dump(2);
     }
 }
+
+namespace
+{
+
+/**
+ * The number format as an exhaustive probe: integers below 1e15 via
+ * "%.0f", otherwise the first "%.{p}g" for p = 1..16 that round-trips,
+ * else "%.17g". Json::dump must match it byte for byte.
+ */
+std::string
+probedNumber(double d)
+{
+    if (std::isnan(d) || std::isinf(d))
+        return "null";
+    if (d == std::floor(d) && std::fabs(d) < 1e15) {
+        char buf[32];
+        std::snprintf(buf, sizeof(buf), "%.0f", d);
+        return buf;
+    }
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.17g", d);
+    for (int prec = 1; prec < 17; ++prec) {
+        char probe[32];
+        std::snprintf(probe, sizeof(probe), "%.*g", prec, d);
+        if (std::strtod(probe, nullptr) == d)
+            return probe;
+    }
+    return buf;
+}
+
+/** The probe costs ~25 us a number, so the corpus runs in shards. */
+class JsonNumberProbe : public ::testing::TestWithParam<int>
+{
+  public:
+    static constexpr int shards = 8;
+};
+
+} // namespace
+
+TEST_P(JsonNumberProbe, DumpMatchesTheProbeAndRoundTrips)
+{
+    std::mt19937_64 rng(0x4a534f4e);
+    std::vector<double> corpus;
+    auto withNeighbours = [&](double d) {
+        for (double v : {d, -d}) {
+            corpus.push_back(v);
+            corpus.push_back(std::nextafter(v, -INFINITY));
+            corpus.push_back(std::nextafter(v, INFINITY));
+        }
+    };
+    // Random bit patterns: every exponent, NaNs and infinities too.
+    for (int i = 0; i < 1'000'000; ++i)
+        corpus.push_back(std::bit_cast<double>(rng()));
+    // Powers of two, subnormal to largest, and one ulp either side.
+    for (int e = -1074; e <= 1023; ++e)
+        withNeighbours(std::ldexp(1.0, e));
+    for (int i = 0; i < 10'000; ++i)
+        corpus.push_back(std::bit_cast<double>(
+            rng() & ((std::uint64_t{1} << 52) - 1)));
+    withNeighbours(0.0);
+    withNeighbours(std::numeric_limits<double>::min());
+    withNeighbours(std::numeric_limits<double>::max());
+    // The integer cut-off and the end of exact integers.
+    for (double base : {1e15, 9007199254740992.0})
+        for (int k = -4; k <= 4; ++k)
+            withNeighbours(base + k);
+    withNeighbours(1e15 - 0.5);
+    for (int i = 0; i < 10'000; ++i) {
+        std::uint64_t whole = rng() % 1'000'000'000'000'000;
+        withNeighbours(static_cast<double>(whole >> rng() % 50));
+    }
+    // Rates and ratios, the numbers the documents actually hold.
+    for (int i = 0; i < 200'000; ++i) {
+        double num = static_cast<double>(rng() % 10'000'000);
+        double den = static_cast<double>(rng() % 100'000 + 1);
+        corpus.push_back((rng() & 1 ? -num : num) / den);
+    }
+
+    std::size_t mismatches = 0;
+    for (auto i = static_cast<std::size_t>(GetParam()); i < corpus.size();
+         i += shards) {
+        double d = corpus[i];
+        std::string got = Json(d).dump();
+        std::string want = probedNumber(d);
+        bool bits_back = !std::isfinite(d) ||
+                         std::bit_cast<std::uint64_t>(
+                             Json::parse(got).asNumber()) ==
+                             std::bit_cast<std::uint64_t>(d);
+        if (got == want && bits_back)
+            continue;
+        if (++mismatches <= 10)
+            ADD_FAILURE() << std::hexfloat << d << ": wrote " << got
+                          << ", probe wrote " << want
+                          << (bits_back ? "" : " (does not round-trip)");
+    }
+    EXPECT_EQ(mismatches, 0u)
+        << "of " << corpus.size() / shards << " numbers";
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, JsonNumberProbe,
+                         ::testing::Range(0, JsonNumberProbe::shards));
 
 TEST(JsonTest, ParseRejectsMalformedInput)
 {
