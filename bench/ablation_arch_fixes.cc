@@ -30,14 +30,8 @@ main()
                 ExecModel exec(m);
                 ExecResult stock = exec.run(buildHandler(m, p));
                 exec.reset();
-                // The fixed handler goes through the same pre-decoded
-                // dispatch the kernel uses (interpreter when predecode
-                // is off); both paths print identical numbers.
                 ExecResult fixed =
-                    predecodeEnabled()
-                        ? exec.runDecoded(
-                              cachedDecodedVariant(m, p, fix))
-                        : exec.run(buildImprovedHandler(m, p, fix));
+                    exec.run(buildImprovedHandler(m, p, fix));
                 std::string target =
                     m.name + " " + primitiveName(p);
                 t.row({archFixName(fix), target,

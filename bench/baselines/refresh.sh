@@ -10,9 +10,8 @@
 #   1. Runs aosd_report / aosd_counters (plain and --kernel-windows)
 #      and aosd_spans on the current tree. These documents are
 #      deterministic — any machine produces the same bytes.
-#   2. Runs the simperf benchmark suite twice (predecode on and off)
-#      and folds the two into BENCH_predecode.json speedups, plus the
-#      batched-vs-per-event charging ratio into BENCH_traffic.json.
+#   2. Runs the simperf benchmark suite and folds the batched-vs-
+#      per-event charging ratio into BENCH_traffic.json.
 #      These numbers are wall-clock and machine-dependent; they seed
 #      the bench trajectory and earn themselves MAD slack in the
 #      rolling band as real runs accumulate.
@@ -43,41 +42,11 @@ echo "== reference documents"
 "$BUILD"/tools/aosd_traffic --json "$TMP"/traffic.json \
     --min-explained 100
 
-echo "== benchmarks (predecode on)"
+echo "== benchmarks"
 "$BUILD"/bench/simperf \
     --benchmark_filter='BM_ReportFull|BM_WorkloadRun|BM_HandlerExecution|BM_TlbLookup|BM_LrpcSimulation|BM_PrimitiveSpanTraced|BM_KernelWindow|BM_TrafficRun|BM_DashboardRender' \
     --benchmark_out="$OUT"/BENCH_simperf.json \
     --benchmark_out_format=json
-
-echo "== benchmarks (predecode off)"
-AOSD_NO_PREDECODE=1 "$BUILD"/bench/simperf \
-    --benchmark_filter='BM_ReportFull|BM_WorkloadRun' \
-    --benchmark_out="$TMP"/BENCH_predecode_off.json \
-    --benchmark_out_format=json
-
-echo "== fold predecode speedups"
-python3 - "$OUT"/BENCH_simperf.json "$TMP"/BENCH_predecode_off.json \
-    "$OUT"/BENCH_predecode.json <<'EOF'
-import json, sys
-
-def times(path):
-    raw = json.load(open(path))
-    return {b['name']: b['real_time'] for b in raw['benchmarks']}
-
-on = times(sys.argv[1])
-off = times(sys.argv[2])
-doc = {'schema_version': 1, 'generator': 'bench/baselines/refresh.sh',
-       'benchmarks': {}}
-for name in sorted(on):
-    if name not in off:
-        continue
-    doc['benchmarks'][name] = {
-        'predecode_real_time': on[name],
-        'interpreter_real_time': off[name],
-        'speedup': off[name] / on[name],
-    }
-json.dump(doc, open(sys.argv[3], 'w'), indent=1)
-EOF
 
 echo "== fold batch-charging speedup"
 python3 - "$OUT"/BENCH_simperf.json "$OUT"/BENCH_traffic.json <<'EOF'
@@ -109,7 +78,6 @@ for entry in $COMMITS; do
     when=${entry#*=}
     if [ "$commit" = "$LAST" ]; then
         BENCH_ARGS="--bench simperf=$OUT/BENCH_simperf.json \
-                    --bench predecode=$OUT/BENCH_predecode.json \
                     --bench traffic=$OUT/BENCH_traffic.json"
     else
         BENCH_ARGS=""

@@ -8,7 +8,6 @@
 #include <benchmark/benchmark.h>
 
 #include "core/aosd.hh"
-#include "sim/batch/batch.hh"
 #include "sim/counters/counters.hh"
 #include "sim/parallel/parallel_runner.hh"
 #include "sim/spantrace/spantrace.hh"
@@ -35,29 +34,6 @@ BM_HandlerExecution(benchmark::State &state)
     }
 }
 BENCHMARK(BM_HandlerExecution)
-    ->Arg(static_cast<int>(MachineId::CVAX))
-    ->Arg(static_cast<int>(MachineId::R3000))
-    ->Arg(static_cast<int>(MachineId::SPARC));
-
-void
-BM_HandlerExecutionDecoded(benchmark::State &state)
-{
-    // The pre-decoded superblock replay of the same handler: the
-    // ratio against BM_HandlerExecution is the per-execution win of
-    // compiling the op walk away (only the write-buffer steps remain
-    // stateful).
-    MachineDesc m = makeMachine(
-        static_cast<MachineId>(state.range(0)));
-    const DecodedProgram &dec =
-        cachedDecodedHandler(m, Primitive::Trap);
-    ExecModel exec(m);
-    for (auto _ : state) {
-        ExecResult r = exec.runDecoded(dec);
-        benchmark::DoNotOptimize(r.cycles);
-        exec.reset();
-    }
-}
-BENCHMARK(BM_HandlerExecutionDecoded)
     ->Arg(static_cast<int>(MachineId::CVAX))
     ->Arg(static_cast<int>(MachineId::R3000))
     ->Arg(static_cast<int>(MachineId::SPARC));
@@ -237,13 +213,44 @@ BM_WorkloadRunSampled(benchmark::State &state)
 }
 BENCHMARK(BM_WorkloadRunSampled);
 
+/** replayEventMix through the per-event entry points: the same
+ *  seeded runs (length, then kind), one kernel call per event. */
+std::uint64_t
+replayEventMixPerEvent(SimKernel &kernel, AddressSpace &space,
+                       std::uint64_t total_events, std::uint64_t seed)
+{
+    Rng rng(seed);
+    std::uint64_t issued = 0;
+    std::uint64_t cursor = 0;
+    while (issued < total_events) {
+        const std::uint64_t n = rng.between(1, 256);
+        const std::uint64_t kind = rng.below(7);
+        PageProt prot;
+        prot.writable = ((cursor + n) & 1) != 0;
+        for (std::uint64_t i = 0; i < n; ++i) {
+            switch (kind) {
+              case 0: kernel.syscall(); break;
+              case 1: kernel.trap(); break;
+              case 2: kernel.otherException(); break;
+              case 3: kernel.threadSwitch(); break;
+              case 4: kernel.emulateTestAndSet(); break;
+              case 5: kernel.emulateInstructions(1); break;
+              default:
+                kernel.pteChange(space, 0x1000 + cursor++ % 64, prot);
+            }
+        }
+        issued += n;
+    }
+    return issued;
+}
+
 /** Shared body of the kernel-window charging benchmarks: a seeded
- *  randomized stream of homogeneous event runs (the traffic driver's
- *  replayEventMix) against one R3000 kernel with counters and the
- *  profiler on — the instrumentation state a report run charges
- *  under. `batched` selects the closed-form batch charger or the
- *  per-event reference loop; the two produce byte-identical state, so
- *  the events/sec ratio is the batch win (CI gates it >= 5x). */
+ *  randomized stream of homogeneous event runs against one R3000
+ *  kernel with counters and the profiler on — the instrumentation
+ *  state a report run charges under. `batched` replays it through the
+ *  batched entry points (replayEventMix), otherwise through the
+ *  per-event ones; the two produce byte-identical state, so the
+ *  events/sec ratio is the batch win (CI gates it >= 5x). */
 void
 kernelWindowChargingBody(benchmark::State &state, bool batched)
 {
@@ -253,14 +260,15 @@ kernelWindowChargingBody(benchmark::State &state, bool batched)
     space.mapRange(0x1000, 64, 0x50000, {});
     HwCounters::instance().enable();
     Profiler::instance().enable();
-    const bool batch_was = batchEnabled();
-    setBatchEnabled(batched);
     constexpr std::uint64_t eventsPerIter = 100'000;
     std::uint64_t seed = 1;
     std::uint64_t events = 0;
     for (auto _ : state)
-        events += replayEventMix(kernel, &space, eventsPerIter, seed++);
-    setBatchEnabled(batch_was);
+        events += batched ? replayEventMix(kernel, &space,
+                                           eventsPerIter, seed++)
+                          : replayEventMixPerEvent(kernel, space,
+                                                   eventsPerIter,
+                                                   seed++);
     Profiler::instance().disable();
     Profiler::instance().clear();
     HwCounters::instance().disable();
@@ -326,12 +334,7 @@ void
 BM_ReportFull(benchmark::State &state)
 {
     // The whole figure grid, serial: the --jobs 1 wall-clock baseline
-    // that CI's BENCH_report.json speedup column divides by. Also the
-    // predecode perf gate's numerator/denominator: CI runs the binary
-    // twice, the second time under AOSD_NO_PREDECODE=1 (google-
-    // benchmark owns argv, so the reference path is selected by
-    // environment rather than by --no-predecode), and fails if the
-    // on/off ratio falls below 3x.
+    // that CI's BENCH_report.json speedup column divides by.
     for (auto _ : state) {
         ParallelRunner serial(1);
         Json report = buildReport(serial);

@@ -21,7 +21,6 @@
 #include "arch/machine_desc.hh"
 #include "arch/machines.hh"
 #include "core/study.hh"
-#include "cpu/decoded_program.hh"
 #include "cpu/exec_model.hh"
 #include "cpu/handler_variants.hh"
 #include "cpu/handlers.hh"

@@ -30,10 +30,8 @@ countPrimitive(const MachineDesc &machine, Primitive prim,
     run.primitive = prim;
     run.repetitions = reps;
 
-    // Warm the handler (and, on the fast path, decoded) caches before
-    // opening the counter window; runPrimitive dispatches to the
-    // pre-decoded superblock or the interpreter, with identical
-    // counter bumps either way (tests/test_predecode.cc).
+    // Warm the handler cache before opening the counter window, so
+    // the window holds only the handler's own counter bumps.
     cachedHandler(machine, prim);
     ExecModel exec(machine);
 

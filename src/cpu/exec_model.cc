@@ -1,6 +1,5 @@
 #include "cpu/exec_model.hh"
 
-#include "cpu/decoded_program.hh"
 #include "cpu/handlers.hh"
 #include "sim/counters/counters.hh"
 #include "sim/logging.hh"
@@ -288,54 +287,8 @@ ExecModel::run(const HandlerProgram &program)
 }
 
 ExecResult
-ExecModel::runDecoded(const DecodedProgram &dec)
-{
-    writeBuffer.reset();
-    ExecResult result;
-    Cycles now = 0;
-    for (const DecodedPhase &dp : dec.phases) {
-        ProfScope prof(phaseSlug(dp.kind));
-        PhaseResult pr;
-        pr.kind = dp.kind;
-        pr.instructions = dp.instructions;
-        pr.breakdown = dp.constBreakdown;
-        Cycles start = now;
-        for (const DecodedStep &st : dp.steps) {
-            now += st.gapBefore;
-            if (st.isStore) {
-                Cycles stall = writeBuffer.store(now + 1, st.samePage);
-                pr.breakdown.writeBufferStall += stall;
-                now += stall;
-            } else {
-                Cycles wait = writeBuffer.drainTime(now);
-                pr.breakdown.writeBufferStall += wait;
-                if (wait) {
-                    countEvent(HwCounter::WbReadWaits);
-                    countEvent(HwCounter::WbStallCycles, wait);
-                }
-                now += wait;
-            }
-        }
-        now += dp.tailCycles;
-        pr.cycles = now - start;
-        spanLeaf(phaseSlug(dp.kind), pr.cycles);
-        if (countersEnabled())
-            for (const auto &[c, n] : dp.constCounters)
-                countEvent(c, n);
-        profileBreakdown(pr.breakdown);
-        result.instructions += pr.instructions;
-        result.breakdown += pr.breakdown;
-        result.phases.push_back(std::move(pr));
-    }
-    result.cycles = now;
-    return result;
-}
-
-ExecResult
 ExecModel::runPrimitive(Primitive prim)
 {
-    if (predecodeEnabled() && !tracerEnabled())
-        return runDecoded(cachedDecodedHandler(desc, prim));
     return run(cachedHandler(desc, prim));
 }
 

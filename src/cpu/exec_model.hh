@@ -23,8 +23,6 @@
 namespace aosd
 {
 
-struct DecodedProgram;
-
 /** Where the cycles of a stream went (for the paper's share analyses). */
 struct CycleBreakdown
 {
@@ -112,22 +110,8 @@ class ExecModel
     /** Execute a complete handler program. */
     ExecResult run(const HandlerProgram &program);
 
-    /**
-     * Execute a pre-decoded program (cpu/decoded_program.hh): add the
-     * precomputed constants, replay only the write-buffer steps.
-     * Produces an ExecResult identical to run() on the source program
-     * — cycles, instructions, breakdowns, counter bumps, profiler
-     * attribution. The caller guarantees the tracer is off (the
-     * decoded path has no per-op sites to trace; use run() then).
-     */
-    ExecResult runDecoded(const DecodedProgram &dec);
-
-    /**
-     * Execute this machine's handler for `prim` through the cached
-     * decoded fast path when predecodeEnabled() and the tracer is off,
-     * falling back to interpreting the cached handler program
-     * otherwise. The two paths return identical results.
-     */
+    /** Execute this machine's cached handler for `prim`
+     *  (run(cachedHandler(machine(), prim))). */
     ExecResult runPrimitive(Primitive prim);
 
     /** Execute a bare stream (used by share analyses and the IPC layer).

@@ -1,9 +1,5 @@
 #include "cpu/handler_variants.hh"
 
-#include <map>
-#include <tuple>
-
-#include "cpu/decoded_program.hh"
 #include "cpu/handlers.hh"
 #include "sim/logging.hh"
 
@@ -216,36 +212,6 @@ buildImprovedHandler(const MachineDesc &machine, Primitive prim,
         return i860ContextSwitchTagged();
     }
     panic("unhandled fix");
-}
-
-const DecodedProgram &
-cachedDecodedVariant(const MachineDesc &machine, Primitive prim,
-                     ArchFix fix)
-{
-    struct CacheEntry
-    {
-        MachineDesc desc;
-        DecodedProgram program;
-    };
-    // Node-based map: entries are address-stable, so returned
-    // references survive later insertions.
-    thread_local std::map<std::tuple<int, int, int>, CacheEntry> cache;
-
-    std::tuple<int, int, int> key{static_cast<int>(machine.id),
-                                  static_cast<int>(prim),
-                                  static_cast<int>(fix)};
-    auto it = cache.find(key);
-    if (it == cache.end() || !(it->second.desc == machine)) {
-        it = cache
-                 .insert_or_assign(
-                     key,
-                     CacheEntry{machine,
-                                decodeProgram(machine,
-                                              buildImprovedHandler(
-                                                  machine, prim, fix))})
-                 .first;
-    }
-    return it->second.program;
 }
 
 } // namespace aosd

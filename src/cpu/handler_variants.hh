@@ -74,19 +74,6 @@ bool archFixApplies(ArchFix fix, MachineId machine, Primitive prim);
 HandlerProgram buildImprovedHandler(const MachineDesc &machine,
                                     Primitive prim, ArchFix fix);
 
-struct DecodedProgram;
-
-/**
- * buildImprovedHandler, pre-decoded and memoized per thread like
- * cachedDecodedHandler(): keyed by (machine.id, primitive, fix) and
- * validated against a stored copy of the desc, so an ablation-modified
- * desc under a stock id recompiles. The ablation sweeps execute each
- * variant thousands of times; with predecode on they replay the
- * superblock instead of re-interpreting the op list.
- */
-const DecodedProgram &cachedDecodedVariant(const MachineDesc &machine,
-                                           Primitive prim, ArchFix fix);
-
 /** All fixes, for sweeps. */
 inline const ArchFix allArchFixes[] = {
     ArchFix::LazyPipelineCheck,   ArchFix::PreflightWindowFault,

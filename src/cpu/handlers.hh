@@ -54,9 +54,9 @@ InstrStream sparcWindowRestoreSeq(const MachineDesc &machine);
  * kernel path). The stream is built from stateless ops (trap
  * bracket, control-register reads, the TLB entry write, ALU address
  * arithmetic, microcoded residue) so its cycle total is a constant
- * equal to the machine's swUserMissCycles / swKernelMissCycles —
- * the predecode-off kernel re-interprets it per miss, the fast path
- * charges the constant. Panics on a hardware-managed TLB.
+ * equal to the machine's swUserMissCycles / swKernelMissCycles, the
+ * constant the kernel charges per miss. Panics on a hardware-managed
+ * TLB.
  */
 InstrStream tlbRefillSeq(const MachineDesc &machine, bool kernel_space);
 

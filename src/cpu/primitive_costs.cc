@@ -20,8 +20,6 @@ PrimitiveCostDb::PrimitiveCostDb()
             PrimitiveCost c;
             c.machine = m.id;
             c.primitive = p;
-            // Decoded fast path when enabled, interpreter otherwise;
-            // the cached detail is identical either way.
             c.detail = exec.runPrimitive(p);
             c.cycles = c.detail.cycles;
             c.instructions = c.detail.instructions;

@@ -24,9 +24,8 @@ profilePrimitive(const MachineDesc &machine, Primitive prim,
     run.primitive = prim;
     run.repetitions = reps;
 
-    // Warm the handler cache outside the profile window; runPrimitive
-    // then attributes through the pre-decoded phase summaries or the
-    // interpreter, identically (tests/test_predecode.cc).
+    // Warm the handler cache outside the profile window, so the tree
+    // holds only the handler's own phase attribution.
     cachedHandler(machine, prim);
     ExecModel exec(machine);
 

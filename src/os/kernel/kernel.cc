@@ -1,9 +1,6 @@
 #include "os/kernel/kernel.hh"
 
-#include "cpu/decoded_program.hh"
 #include "cpu/exec_model.hh"
-#include "cpu/handlers.hh"
-#include "sim/batch/batch.hh"
 #include "sim/counters/counters.hh"
 #include "sim/logging.hh"
 #include "sim/sampling/sampler.hh"
@@ -23,15 +20,14 @@ kernelWindowCosts(const MachineDesc &machine)
     c.switchCycles = db.cycles(machine.id, Primitive::ContextSwitch);
     c.pteChangeCycles = db.cycles(machine.id, Primitive::PteChange);
     c.emulInstrCycles = emulatedInstrCycles;
-    c.emulTasCycles = machine.timing.trapEnterCycles +
-                      machine.timing.trapReturnCycles +
-                      emulatedTasSequenceCycles;
+    c.emulTasCycles = emulatedTasCycles(machine);
     return c;
 }
 
 SimKernel::SimKernel(const MachineDesc &machine)
-    : desc(machine), costs(sharedCostDb()), refExec(machine),
-      tlbModel(machine.tlb), cacheModel(machine.cache)
+    : desc(machine), costs(sharedCostDb()),
+      tasCycles(emulatedTasCycles(machine)), tlbModel(machine.tlb),
+      cacheModel(machine.cache)
 {
     for (Primitive p : allPrimitives)
         primCost[static_cast<std::size_t>(p)] = &costs.cost(desc.id, p);
@@ -44,20 +40,6 @@ SimKernel::SimKernel(const MachineDesc &machine)
     statUserTlbMisses = &counters.handle(kstat::userTlbMisses);
     statOtherExceptions = &counters.handle(kstat::otherExceptions);
     statPteChanges = &counters.handle(kstat::pteChanges);
-    tasSeq.trapEnter(/*counts_as_instr=*/false)
-        .microcoded(emulatedTasSequenceCycles)
-        .trapReturn();
-    // No memory ops, so the whole fast-trap sequence decodes to one
-    // constant: trap entry + return hardware plus the t&s microcode.
-    tasCycles = decodeStream(desc, tasSeq).tailCycles;
-    if (desc.tlb.management == TlbManagement::Software) {
-        swRefillUserSeq = tlbRefillSeq(desc, false);
-        swRefillKernelSeq = tlbRefillSeq(desc, true);
-        hasSwRefill = true;
-    }
-    // One ALU op per cycle of per-instruction emulation work, so the
-    // stream's interpreted total equals n * emulatedInstrCycles.
-    emulStepSeq.alu(emulatedInstrCycles);
     // Space 0 is the kernel itself; its working set models the mapped
     // kernel data (page tables and the like) that still needs TLB
     // entries even when kernel *code* runs unmapped (s5).
@@ -94,21 +76,6 @@ void
 SimKernel::chargePrimitive(Primitive p)
 {
     const PrimitiveCost &pc = *primCost[static_cast<std::size_t>(p)];
-    if (!predecodeEnabled() && !tracerEnabled()) {
-        // Reference mode: re-interpret the handler program op by op
-        // for every kernel event instead of charging the cached
-        // superblock totals. The execution is deterministic (the
-        // buffer resets per run), so the cycles and the profiler's
-        // phase attribution equal the cached path's exactly; its
-        // micro-event counter bumps are already folded into the
-        // cached cost constants, so they must not leak into the
-        // enclosing workload window's counters.
-        CounterPause pause;
-        ExecResult r = refExec.run(cachedHandler(desc, p));
-        cycleCount += r.cycles;
-        primCycles += r.cycles;
-        return;
-    }
     // Attribute the cached handler simulation phase by phase, so a
     // kernel-level profile bottoms out in the same hardware causes
     // (trap_hardware, write_buffer_stall, ...) the exec model charged.
@@ -118,9 +85,8 @@ SimKernel::chargePrimitive(Primitive p)
             profileBreakdown(ph.breakdown);
         }
     }
-    // Same per-phase detail for an open request's span tree; the
-    // reference branch above gets equal leaves from ExecModel::run,
-    // so spans are byte-identical in both predecode modes.
+    // Same per-phase detail for an open request's span tree: the
+    // leaves ExecModel::run would emit for this handler.
     if (spantraceEnabled()) {
         for (const PhaseResult &ph : pc.detail.phases)
             spanLeaf(phaseSlug(ph.kind), ph.cycles);
@@ -132,8 +98,7 @@ SimKernel::chargePrimitive(Primitive p)
 bool
 SimKernel::batchActive() const
 {
-    return batchEnabled() && predecodeEnabled() &&
-           batchObserversIdle();
+    return !tracerEnabled() && !spantraceEnabled();
 }
 
 void
@@ -481,20 +446,7 @@ SimKernel::emulateInstructions(std::uint64_t n)
         Tracer::instance().recordAt(cycleCount,
                                     TraceEvent::EmulatedInstr,
                                     TracePhase::Instant, "emulate", n);
-    Cycles c;
-    if (!predecodeEnabled() && !tracerEnabled()) {
-        // Interpreter reference path: decode and dispatch each
-        // emulated instruction individually. The stream's total is
-        // emulatedInstrCycles by construction, so the charge is
-        // identical to the folded fast-path constant below.
-        CounterPause cpause;
-        ProfPause ppause;
-        c = 0;
-        for (std::uint64_t i = 0; i < n; ++i)
-            c += refExec.runStream(emulStepSeq).cycles;
-    } else {
-        c = n * emulatedInstrCycles;
-    }
+    const Cycles c = n * emulatedInstrCycles;
     cycleCount += c;
     primCycles += c;
     if (profilerEnabled())
@@ -511,24 +463,13 @@ SimKernel::emulateTestAndSet()
     // A dedicated fast trap vector: hardware entry/exit plus a short
     // interrupts-disabled test-and-set sequence (~80 cycles), much
     // cheaper than the general trap path but far dearer than an
-    // atomic instruction would be. With predecode on, the sequence's
-    // cycle total was computed once at construction; the interpreter
-    // fallback re-runs the fast-trap stream per event, with its
-    // micro-events and attribution suppressed (they are already
-    // folded into the constant and the leaf below).
-    Cycles c;
-    if (!predecodeEnabled() && !tracerEnabled()) {
-        CounterPause cpause;
-        ProfPause ppause;
-        c = refExec.runStream(tasSeq).cycles;
-    } else {
-        c = tasCycles;
-    }
-    cycleCount += c;
-    primCycles += c;
+    // atomic instruction would be.
+    cycleCount += tasCycles;
+    primCycles += tasCycles;
     if (profilerEnabled())
-        Profiler::instance().addLeafCycles("emulated_test_and_set", c);
-    spanLeaf("emulated_test_and_set", c);
+        Profiler::instance().addLeafCycles("emulated_test_and_set",
+                                           tasCycles);
+    spanLeaf("emulated_test_and_set", tasCycles);
 }
 
 void
@@ -540,23 +481,9 @@ SimKernel::otherException()
     countEvent(HwCounter::KernelTraps);
     Cycles start = cycleCount;
     chargePrimitive(Primitive::Trap);
-    Tracer::instance().complete(start, cycleCount - start,
-                                TraceEvent::TrapEnter, "exception");
-}
-
-Cycles
-SimKernel::interpRefillCost(bool kernel_space)
-{
-    // Reference mode on a software-managed TLB: the refill really
-    // is a kernel handler (s5), so run it through the interpreter
-    // like every other handler. Its micro-event bumps and profile
-    // breakdown are already folded into the modeled constant, so
-    // they must not leak into the workload window.
-    CounterPause cpause;
-    ProfPause ppause;
-    return refExec
-        .runStream(kernel_space ? swRefillKernelSeq : swRefillUserSeq)
-        .cycles;
+    if (tracerEnabled())
+        Tracer::instance().complete(start, cycleCount - start,
+                                    TraceEvent::TrapEnter, "exception");
 }
 
 void
@@ -573,15 +500,10 @@ SimKernel::touchPages(const std::vector<Vpn> &pages, bool kernel_space)
     std::uint64_t *miss_stat =
         kernel_space ? statKernelTlbMisses : statUserTlbMisses;
     const char *miss_leaf = kernel_space ? "miss_kernel" : "miss_user";
-    // Loop-invariant: whether misses charge the interpreted refill
-    // handler (reference mode) or the lookup's modeled constant.
-    const bool interp_refill =
-        hasSwRefill && !predecodeEnabled() && !tracing;
     for (Vpn vpn : pages) {
         TlbLookup r = tlbModel.lookup(vpn, asid, kernel_space);
         if (!r.hit) {
-            Cycles mc = interp_refill ? interpRefillCost(kernel_space)
-                                      : r.missCycles;
+            const Cycles mc = r.missCycles;
             cycleCount += mc;
             primCycles += mc;
             if (profilerEnabled())
@@ -606,8 +528,7 @@ SimKernel::touchPages(const std::vector<Vpn> &pages, bool kernel_space)
                 TlbLookup k =
                     tlbModel.lookup(table_page, 0, true);
                 if (!k.hit) {
-                    Cycles kc = interp_refill ? interpRefillCost(true)
-                                              : k.missCycles;
+                    const Cycles kc = k.missCycles;
                     cycleCount += kc;
                     primCycles += kc;
                     if (profilerEnabled())

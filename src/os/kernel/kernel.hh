@@ -49,6 +49,15 @@ inline constexpr const char *pteChanges = "pte_changes";
  *  test&set fast trap, beyond the trap entry/exit hardware cost. */
 inline constexpr Cycles emulatedTasSequenceCycles = 70;
 
+/** Cycles of one emulated test&set fast trap on `machine`: trap
+ *  entry and return hardware plus emulatedTasSequenceCycles. */
+inline Cycles
+emulatedTasCycles(const MachineDesc &machine)
+{
+    return machine.timing.trapEnterCycles +
+           machine.timing.trapReturnCycles + emulatedTasSequenceCycles;
+}
+
 /** Per-emulated-instruction decode-and-interpret cost. */
 inline constexpr Cycles emulatedInstrCycles = 4;
 
@@ -108,13 +117,12 @@ class SimKernel
     // ---- batched primitive operations -----------------------------
     // Each *Batch(n) charges `n` back-to-back invocations of its
     // per-event counterpart in one closed-form update: cycles and
-    // HwCounters as the decoded per-event constants × n, profiler
+    // HwCounters as the cached per-event constants × n, profiler
     // entries/self-cycles/histograms via the sampleN batch updates,
     // sampler boundaries via CounterSampler::tickRun — byte-identical
-    // to the per-event loop in every JSON document. Whenever batching
-    // cannot apply (--no-batch / AOSD_NO_BATCH / AOSD_DISABLE_BATCH,
-    // the reference interpreter mode, the tracer on, or an open
-    // span-traced request), they fall back to that per-event loop.
+    // to the per-event loop in every JSON document. While a per-event
+    // observer is watching (the tracer on, or an open span-traced
+    // request) they run that per-event loop instead.
     // `sample_each` reproduces the workload drivers' per-event
     //   CounterSampler::tick(elapsedCycles(), primitiveCycles())
     // after every event.
@@ -140,9 +148,10 @@ class SimKernel
     void pteChangeBatch(AddressSpace &space,
                         const std::vector<Vpn> &vpns, PageProt prot);
 
-    /** Batching applies right now: the toggle is on, the pre-decoded
-     *  fast path is active, and no per-event observer (tracer, open
-     *  span request) is watching. */
+    /** Batching applies right now: no per-event observer is
+     *  watching. The tracer emits one record per event and an open
+     *  span-traced request nests one node per invocation, so a run
+     *  can only be coalesced while both are idle. */
     bool batchActive() const;
 
     // ---- memory references ----------------------------------------
@@ -203,40 +212,14 @@ class SimKernel
     void batchScopedPrimitive(const char *scope, Primitive p,
                               std::uint64_t *stat, HwCounter event,
                               std::uint64_t n, bool sample_each);
-    /** Re-interpret the software refill handler for one TLB miss
-     *  (predecode-off reference path); its total equals the modeled
-     *  constant the fast path charges, by construction. */
-    Cycles interpRefillCost(bool kernel_space);
-
     MachineDesc desc;
     const PrimitiveCostDb &costs;
     /** cost(desc.id, p) resolved once per primitive at construction:
      *  chargePrimitive runs per kernel event, so no map lookups there. */
     std::array<const PrimitiveCost *, std::size(allPrimitives)>
         primCost{};
-    /** Reference execution model for the predecode-off path, which
-     *  re-interprets the handler program on every kernel event instead
-     *  of charging the cached superblock totals. */
-    ExecModel refExec;
-    /** The emulated test&set fast-trap sequence (trap entry, the
-     *  interrupts-disabled test-and-set microcode, trap return) and
-     *  its pre-decoded cycle total. The interpreter fallback re-runs
-     *  the stream per event; the fast path charges the constant. */
-    InstrStream tasSeq;
-    Cycles tasCycles = 0;
-    /** Software TLB-refill handler streams (built only when the TLB is
-     *  software-managed). Their cycle totals equal the machine's
-     *  swUser/swKernelMissCycles by construction, so the interpreter
-     *  fallback — which re-runs the stream on every miss — charges
-     *  exactly what the fast path's modeled constant charges. */
-    InstrStream swRefillUserSeq;
-    InstrStream swRefillKernelSeq;
-    bool hasSwRefill = false;
-    /** The decode-and-dispatch work of emulating one user instruction
-     *  in the kernel (emulatedInstrCycles of ALU work). The
-     *  interpreter fallback re-runs this stream once per emulated
-     *  instruction; the fast path charges n times the constant. */
-    InstrStream emulStepSeq;
+    /** emulatedTasCycles(desc), charged per emulated test&set. */
+    const Cycles tasCycles;
     Tlb tlbModel;
     Cache cacheModel;
     StatGroup counters{"kernel"};

@@ -185,25 +185,6 @@ countHighWater(HwCounter c, std::uint64_t v)
 }
 
 /**
- * RAII: suspend counting across a scope, restoring the previous
- * enablement on exit. Used by reference re-executions (the predecode-
- * off kernel path) whose microarchitectural events are already folded
- * into the cached cost constants and must not leak into an enclosing
- * measurement window.
- */
-class CounterPause
-{
-  public:
-    CounterPause() : was(ctrdetail::on) { ctrdetail::on = false; }
-    ~CounterPause() { ctrdetail::on = was; }
-    CounterPause(const CounterPause &) = delete;
-    CounterPause &operator=(const CounterPause &) = delete;
-
-  private:
-    bool was;
-};
-
-/**
  * A value snapshot of every counter. Plain data: copyable, comparable,
  * serializable. Produced by HwCounters::snapshot(); windows of
  * activity are measured as end.delta(start).

@@ -534,8 +534,7 @@ overviewHtml(const DashboardInputs &in, const DashboardOptions &opts,
     html += "<p class=\"muted\">Site manifest: "
             "<a href=\"manifest.json\">manifest.json</a>. Regenerate "
             "with <code>aosd_dashboard</code>; the bytes are "
-            "identical at any <code>--jobs</code> value and across "
-            "batch/no-batch/no-predecode.</p>\n";
+            "identical at any <code>--jobs</code> value.</p>\n";
     html += pageClose();
     return html;
 }

@@ -32,11 +32,9 @@
  * Determinism contract: the site is a pure function of its inputs.
  * Identical documents render byte-identical pages at any --jobs
  * value (pages are built as independent tasks and merged in task
- * order), and since every input document is itself byte-identical
- * across batch/no-batch/no-predecode, so is the site. CI cmp-gates
- * both properties. All floating-point rendering uses printf and
- * IEEE-exact sqrt only — no libm transcendentals — so the bytes are
- * also machine-independent.
+ * order); CI cmp-gates that property. All floating-point rendering
+ * uses printf and IEEE-exact sqrt only — no libm transcendentals — so
+ * the bytes are also machine-independent.
  */
 
 #ifndef AOSD_STUDY_DASHBOARD_DASHBOARD_HH

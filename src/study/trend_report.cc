@@ -247,7 +247,7 @@ buildPerfDbRecord(const std::string &commit,
                     marks.set(name->asString(), std::move(entry));
                 }
             } else if (list && list->isObject()) {
-                // Already-digested documents (BENCH_predecode.json).
+                // Already-digested documents: {name: figures}.
                 marks = *list;
             } else if (doc) {
                 // Arbitrary digest: store numeric content as-is.

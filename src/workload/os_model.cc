@@ -149,8 +149,7 @@ MachSystem::run(const AppProfile &app)
         if (osStructure == OsStructure::Monolithic) {
             serviceCallMonolithic(kernel, app_space, daemon, app, rng);
             // Drain each accumulator to a count, then charge the
-            // whole homogeneous run in one batched call (falls back
-            // to the identical per-event loop under --no-batch).
+            // whole homogeneous run in one batched call.
             std::uint64_t emul25_n = 0;
             for (emul25_acc += emul25_per; emul25_acc >= 1;
                  emul25_acc -= 1)

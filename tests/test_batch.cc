@@ -1,11 +1,11 @@
 /**
  * @file
- * Tests for the kernel-window batch charger (sim/batch + the
- * SimKernel *Batch entry points): toggle semantics, the central
- * equivalence property — a batched run leaves *exactly* the state of
- * the per-event loop (cycles, every hardware counter, kernel stats,
- * the profiler tree, the sampler series) on every Table 1 machine,
- * under randomized event mixes, and under --no-predecode — and the
+ * Tests for the kernel-window batch charger (the SimKernel *Batch
+ * entry points): the central equivalence property — a batched run
+ * leaves *exactly* the state of the same events issued one call at a
+ * time through syscall(), trap(), ... (cycles, every hardware
+ * counter, kernel stats, the profiler tree, the sampler series) on
+ * every Table 1 machine, under randomized event mixes — and the
  * CounterSampler::tickRun multi-interval regression (a batch spanning
  * several sample intervals emits one sample per boundary crossed,
  * never one fat sample).
@@ -17,12 +17,12 @@
 #include <vector>
 
 #include "arch/machines.hh"
-#include "cpu/decoded_program.hh"
 #include "os/kernel/kernel.hh"
-#include "sim/batch/batch.hh"
 #include "sim/counters/counters.hh"
 #include "sim/profile/profile.hh"
+#include "sim/random.hh"
 #include "sim/sampling/sampler.hh"
+#include "sim/trace.hh"
 #include "workload/traffic.hh"
 
 using namespace aosd;
@@ -30,15 +30,13 @@ using namespace aosd;
 namespace
 {
 
-/** Restore every global toggle the batch layer consults. */
+/** Reset the instrumentation the charges feed. */
 class BatchTest : public ::testing::Test
 {
   protected:
     void
     SetUp() override
     {
-        setBatchEnabled(true);
-        setPredecodeEnabled(true);
         HwCounters::instance().disable();
         HwCounters::instance().reset();
         Profiler::instance().disable();
@@ -71,12 +69,55 @@ struct RunState
     }
 };
 
-/** Replay `total_events` of the randomized mix on `mid` and capture
- *  the complete observable state. `sample_each` adds per-event
- *  sampler boundaries under a 10k-cycle session. */
+/** The per-event reference for replayEventMix: the same seeded runs
+ *  (length, then kind), each event one call to its per-event entry
+ *  point, plus the workload drivers' sampler tick after it when
+ *  `sample_each` is set (the batched PTE change takes no sampler
+ *  flag, so neither does its per-event twin). */
+void
+replayEventMixPerEvent(SimKernel &kernel, AddressSpace &space,
+                       std::uint64_t total_events, std::uint64_t seed,
+                       bool sample_each)
+{
+    Rng rng(seed);
+    std::uint64_t issued = 0;
+    std::uint64_t cursor = 0;
+    auto tick = [&] {
+        if (sample_each)
+            CounterSampler::instance().tick(
+                kernel.elapsedCycles(),
+                static_cast<double>(kernel.primitiveCycles()));
+    };
+    while (issued < total_events) {
+        const std::uint64_t n = rng.between(1, 256);
+        const std::uint64_t kind = rng.below(7);
+        PageProt prot;
+        prot.writable = ((cursor + n) & 1) != 0;
+        for (std::uint64_t i = 0; i < n; ++i) {
+            switch (kind) {
+              case 0: kernel.syscall(); break;
+              case 1: kernel.trap(); break;
+              case 2: kernel.otherException(); break;
+              case 3: kernel.threadSwitch(); break;
+              case 4: kernel.emulateTestAndSet(); break;
+              case 5: kernel.emulateInstructions(1); break;
+              default:
+                kernel.pteChange(space, 0x1000 + cursor++ % 64, prot);
+                continue;
+            }
+            tick();
+        }
+        issued += n;
+    }
+}
+
+/** Replay `total_events` of the randomized mix on `mid`, batched or
+ *  one event at a time, and capture the complete observable state.
+ *  `sample_each` adds per-event sampler boundaries under a 10k-cycle
+ *  session. */
 RunState
-runMix(MachineId mid, std::uint64_t total_events, std::uint64_t seed,
-       bool sample_each = false)
+runMix(MachineId mid, bool batched, std::uint64_t total_events,
+       std::uint64_t seed, bool sample_each = false)
 {
     MachineDesc m = makeMachine(mid);
     SimKernel kernel(m);
@@ -87,7 +128,11 @@ runMix(MachineId mid, std::uint64_t total_events, std::uint64_t seed,
     if (sample_each)
         CounterSampler::instance().begin({10'000, 4096});
 
-    replayEventMix(kernel, &space, total_events, seed, sample_each);
+    if (batched)
+        replayEventMix(kernel, &space, total_events, seed, sample_each);
+    else
+        replayEventMixPerEvent(kernel, space, total_events, seed,
+                               sample_each);
 
     RunState out;
     out.elapsed = kernel.elapsedCycles();
@@ -108,26 +153,16 @@ runMix(MachineId mid, std::uint64_t total_events, std::uint64_t seed,
     return out;
 }
 
-TEST_F(BatchTest, ToggleDefaultsOnAndRuntimeSetterWorks)
-{
-    EXPECT_TRUE(batchCompiledIn);
-    EXPECT_TRUE(batchEnabled());
-    setBatchEnabled(false);
-    EXPECT_FALSE(batchEnabled());
-    setBatchEnabled(true);
-    EXPECT_TRUE(batchEnabled());
-}
-
-TEST_F(BatchTest, BatchActiveRequiresPredecodeFastPath)
+TEST_F(BatchTest, BatchActiveOnlyWhileNoPerEventObserverWatches)
 {
     MachineDesc m = makeMachine(MachineId::R3000);
     SimKernel kernel(m);
     EXPECT_TRUE(kernel.batchActive());
-    setPredecodeEnabled(false);
+    Tracer::instance().enable(16);
     EXPECT_FALSE(kernel.batchActive());
-    setPredecodeEnabled(true);
-    setBatchEnabled(false);
-    EXPECT_FALSE(kernel.batchActive());
+    Tracer::instance().disable();
+    Tracer::instance().clear();
+    EXPECT_TRUE(kernel.batchActive());
 }
 
 // The central property: over randomized homogeneous-run mixes of
@@ -139,10 +174,8 @@ TEST_F(BatchTest, BatchedStateEqualsPerEventOnEveryTable1Machine)
 {
     for (const MachineDesc &m : table1Machines()) {
         for (std::uint64_t seed : {1ull, 42ull, 0xfeedull}) {
-            setBatchEnabled(true);
-            RunState batched = runMix(m.id, 20'000, seed);
-            setBatchEnabled(false);
-            RunState per_event = runMix(m.id, 20'000, seed);
+            RunState batched = runMix(m.id, true, 20'000, seed);
+            RunState per_event = runMix(m.id, false, 20'000, seed);
             EXPECT_EQ(batched, per_event)
                 << machineSlug(m.id) << " seed " << seed;
         }
@@ -155,23 +188,9 @@ TEST_F(BatchTest, BatchedStateEqualsPerEventOnEveryTable1Machine)
 // would have taken.
 TEST_F(BatchTest, BatchedSamplerSeriesEqualsPerEvent)
 {
-    setBatchEnabled(true);
-    RunState batched = runMix(MachineId::R3000, 30'000, 7, true);
-    setBatchEnabled(false);
-    RunState per_event = runMix(MachineId::R3000, 30'000, 7, true);
-    EXPECT_EQ(batched, per_event);
-}
-
-// The reference-interpreter mode disables batching via batchActive();
-// the *Batch entry points must still equal the per-event loop (both
-// fall back, and the fallback must not double-charge).
-TEST_F(BatchTest, EquivalenceHoldsUnderNoPredecode)
-{
-    setPredecodeEnabled(false);
-    setBatchEnabled(true);
-    RunState batched = runMix(MachineId::CVAX, 5'000, 3);
-    setBatchEnabled(false);
-    RunState per_event = runMix(MachineId::CVAX, 5'000, 3);
+    RunState batched = runMix(MachineId::R3000, true, 30'000, 7, true);
+    RunState per_event =
+        runMix(MachineId::R3000, false, 30'000, 7, true);
     EXPECT_EQ(batched, per_event);
 }
 

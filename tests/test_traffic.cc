@@ -1,10 +1,10 @@
 /**
  * @file
  * Tests for the synthetic traffic driver (workload/traffic):
- * traffic.json shape, byte-identity across job counts and across the
- * batch toggle, the exact-100% kernel-window reconciliation the
- * request classes guarantee, open vs closed queueing behavior, the
- * slowest-request exemplars, and the perfdb ingest digest.
+ * traffic.json shape, byte-identity across job counts, the exact-100%
+ * kernel-window reconciliation the request classes guarantee, open vs
+ * closed queueing behavior, the slowest-request exemplars, and the
+ * perfdb ingest digest.
  */
 
 #include <gtest/gtest.h>
@@ -13,8 +13,6 @@
 #include <string>
 
 #include "arch/machines.hh"
-#include "cpu/decoded_program.hh"
-#include "sim/batch/batch.hh"
 #include "sim/counters/counters.hh"
 #include "sim/parallel/parallel_runner.hh"
 #include "sim/perfdb/perfdb.hh"
@@ -32,8 +30,6 @@ class TrafficTest : public ::testing::Test
     void
     SetUp() override
     {
-        setBatchEnabled(true);
-        setPredecodeEnabled(true);
         HwCounters::instance().disable();
         HwCounters::instance().reset();
     }
@@ -88,7 +84,7 @@ TEST_F(TrafficTest, DocShapeAndConfigEcho)
     EXPECT_EQ(cell.at("wait_cycles").at("count").asUint(), 800u);
 }
 
-TEST_F(TrafficTest, ByteIdenticalAcrossJobsAndBatchToggle)
+TEST_F(TrafficTest, ByteIdenticalAcrossJobs)
 {
     TrafficConfig cfg = smallConfig();
     ParallelRunner serial(1);
@@ -96,31 +92,22 @@ TEST_F(TrafficTest, ByteIdenticalAcrossJobsAndBatchToggle)
 
     ParallelRunner fanned(8);
     EXPECT_EQ(base, buildTrafficDoc(cfg, fanned).dump(1));
-
-    setBatchEnabled(false);
-    ParallelRunner fanned2(8);
-    EXPECT_EQ(base, buildTrafficDoc(cfg, fanned2).dump(1));
 }
 
 TEST_F(TrafficTest, EveryCellKernelWindowExplainsExactly100Pct)
 {
     // The request classes use only the closed-form primitives the
     // reconciliation prices exactly, so 100.0% — not "within
-    // tolerance" — is the contract, batched or not.
-    for (bool batched : {true, false}) {
-        setBatchEnabled(batched);
-        TrafficConfig cfg = smallConfig();
-        ParallelRunner serial(1);
-        Json doc = buildTrafficDoc(cfg, serial);
-        for (std::size_t mi = 0; mi < doc.at("machines").size(); ++mi) {
-            const Json &levels =
-                doc.at("machines").at(mi).at("load_levels");
-            for (std::size_t li = 0; li < levels.size(); ++li) {
-                const Json &kw = levels.at(li).at("kernel_window");
-                EXPECT_EQ(kw.at("explained_pct").asNumber(), 100.0)
-                    << "machine " << mi << " level " << li
-                    << " batched " << batched;
-            }
+    // tolerance" — is the contract.
+    TrafficConfig cfg = smallConfig();
+    ParallelRunner serial(1);
+    Json doc = buildTrafficDoc(cfg, serial);
+    for (std::size_t mi = 0; mi < doc.at("machines").size(); ++mi) {
+        const Json &levels = doc.at("machines").at(mi).at("load_levels");
+        for (std::size_t li = 0; li < levels.size(); ++li) {
+            const Json &kw = levels.at(li).at("kernel_window");
+            EXPECT_EQ(kw.at("explained_pct").asNumber(), 100.0)
+                << "machine " << mi << " level " << li;
         }
     }
 }

@@ -37,7 +37,6 @@
 #include <vector>
 
 #include "arch/machines.hh"
-#include "cpu/decoded_program.hh"
 #include "sim/parallel/parallel_runner.hh"
 #include "study/counters_report.hh"
 
@@ -52,7 +51,7 @@ usage(const char *argv0)
     std::fprintf(
         stderr,
         "usage: %s [--json path] [--reps N] [--machines SLUG[,...]]\n"
-        "          [--min-explained PCT] [--jobs N] [--no-predecode]\n"
+        "          [--min-explained PCT] [--jobs N]\n"
         "  --json path         write counters.json\n"
         "  --reps N            repetitions per primitive (default 16)\n"
         "  --machines list     comma-separated machine slugs\n"
@@ -62,10 +61,7 @@ usage(const char *argv0)
         "                      1 = serial; output is identical either "
         "way)\n"
         "  --kernel-windows    reconcile Table 7 workload windows\n"
-        "                      (one machine; default R3000)\n"
-        "  --no-predecode      interpret handler programs per event\n"
-        "                      (slow reference path; identical "
-        "output)\n",
+        "                      (one machine; default R3000)\n",
         argv0);
 }
 
@@ -130,8 +126,6 @@ main(int argc, char **argv)
                         makeMachine(machineFromSlug(slug)));
                 pos = comma + 1;
             }
-        } else if (arg == "--no-predecode") {
-            setPredecodeEnabled(false);
         } else if (arg == "--help" || arg == "-h") {
             usage(argv[0]);
             return 0;

@@ -13,8 +13,7 @@
  * provided", so a partial run still gets a complete site. The output
  * is a self-contained multi-page static site (inline SVG/CSS, no
  * scripts, no external assets) plus manifest.json, byte-identical at
- * any --jobs value — CI cmp-gates --jobs 1 against --jobs 8 and the
- * no-batch/no-predecode input paths.
+ * any --jobs value — CI cmp-gates --jobs 1 against --jobs 8.
  *
  * The internal-link check always runs: a site with a dangling href or
  * anchor is refused (exit 1), not written.

@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "arch/machines.hh"
-#include "cpu/decoded_program.hh"
 #include "sim/parallel/parallel_runner.hh"
 #include "study/profile_report.hh"
 
@@ -41,7 +40,6 @@ usage(const char *argv0)
         stderr,
         "usage: %s [--json path] [--folded path] [--reps N]\n"
         "          [--machines SLUG[,SLUG...]] [--jobs N]\n"
-        "          [--no-predecode]\n"
         "  --json path      write profile.json\n"
         "  --folded path    write collapsed stacks (flamegraph input)\n"
         "  --reps N         repetitions per primitive (default 16)\n"
@@ -49,9 +47,7 @@ usage(const char *argv0)
         "                   (default: the five Table 1 machines)\n"
         "  --jobs N         worker threads (default: all cores;\n"
         "                   1 = serial; output is identical either "
-        "way)\n"
-        "  --no-predecode   interpret handler programs per event\n"
-        "                   (slow reference path; identical output)\n",
+        "way)\n",
         argv0);
 }
 
@@ -138,8 +134,6 @@ main(int argc, char **argv)
                         makeMachine(machineFromSlug(slug)));
                 pos = comma + 1;
             }
-        } else if (arg == "--no-predecode") {
-            setPredecodeEnabled(false);
         } else if (arg == "--help" || arg == "-h") {
             usage(argv[0]);
             return 0;

@@ -36,7 +36,6 @@
 #include <fstream>
 #include <string>
 
-#include "cpu/decoded_program.hh"
 #include "sim/logging.hh"
 #include "sim/parallel/parallel_runner.hh"
 #include "sim/stats.hh"
@@ -59,7 +58,6 @@ usage(const char *argv0)
         stderr,
         "usage: %s [--json [path]] [--trace path] [--stats path]\n"
         "          [--timeseries path] [--spans path] [--jobs N]\n"
-        "          [--no-predecode]\n"
         "  --json [path]  write report.json (stdout when no path)\n"
         "  --trace path   write a chrome://tracing timeline\n"
         "                 (forces --jobs 1)\n"
@@ -72,12 +70,7 @@ usage(const char *argv0)
         "                 request exemplars, tail attribution)\n"
         "  --jobs N       worker threads (default: all cores;\n"
         "                 1 = serial; report is identical either "
-        "way)\n"
-        "  --no-predecode re-interpret every handler program per\n"
-        "                 kernel event instead of replaying the\n"
-        "                 pre-decoded superblocks (slow reference\n"
-        "                 path; output is identical — CI cmp-gates "
-        "it)\n",
+        "way)\n",
         argv0);
 }
 
@@ -176,8 +169,6 @@ main(int argc, char **argv)
             jobs = static_cast<unsigned>(std::atoi(jobs_arg.c_str()));
             if (jobs == 0)
                 jobs = ParallelRunner::defaultJobs();
-        } else if (arg == "--no-predecode") {
-            setPredecodeEnabled(false);
         } else if (arg == "--help" || arg == "-h") {
             usage(argv[0]);
             return 0;

@@ -23,7 +23,6 @@
 #include <fstream>
 #include <string>
 
-#include "cpu/decoded_program.hh"
 #include "sim/parallel/parallel_runner.hh"
 #include "study/span_report.hh"
 
@@ -39,7 +38,6 @@ usage(const char *argv0)
         stderr,
         "usage: %s [--json [path]] [--perfetto path] [--jobs N]\n"
         "          [--requests N] [--top K] [--machines SLUG[,...]]\n"
-        "          [--no-predecode]\n"
         "  --json [path]   write spans.json (stdout when no path)\n"
         "  --perfetto path write a chrome://tracing export of the\n"
         "                  exemplar span trees\n"
@@ -53,10 +51,7 @@ usage(const char *argv0)
         "  --machines list comma-separated machine slugs\n"
         "                  (default: the five Table 1 machines; the\n"
         "                  same spelling as aosd_counters and\n"
-        "                  aosd_traffic)\n"
-        "  --no-predecode  re-interpret handler programs per kernel\n"
-        "                  event (slow reference path; output is\n"
-        "                  identical — CI cmp-gates it)\n",
+        "                  aosd_traffic)\n",
         argv0);
 }
 
@@ -146,8 +141,6 @@ main(int argc, char **argv)
                 usage(argv[0]);
                 return 2;
             }
-        } else if (arg == "--no-predecode") {
-            setPredecodeEnabled(false);
         } else if (arg == "--help" || arg == "-h") {
             usage(argv[0]);
             return 0;

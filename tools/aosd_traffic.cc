@@ -22,10 +22,9 @@
  * kernel window must reconcile (the --min-explained gate, default
  * 99.999%: the request classes use only exactly-priced primitives, so
  * anything less than 100% explained is a charging bug, not noise).
- * The kernel-window batch charger (sim/batch) is what makes
- * million-request sweeps affordable; --no-batch runs the same sweep
- * through the per-event loops and CI cmp-gates that the JSON is
- * byte-identical.
+ * The kernel's batched entry points (SimKernel::*Batch) are what make
+ * million-request sweeps affordable: each request's primitive runs
+ * are charged in closed form.
  *
  * Every numeric flag must parse as a whole token, and the sweep must
  * pass trafficConfigError(); otherwise the tool prints one line and
@@ -44,8 +43,6 @@
 #include <vector>
 
 #include "arch/machines.hh"
-#include "cpu/decoded_program.hh"
-#include "sim/batch/batch.hh"
 #include "sim/parallel/parallel_runner.hh"
 #include "sim/table.hh"
 #include "workload/traffic.hh"
@@ -67,7 +64,7 @@ usage(const char *argv0)
         "          [--arrival uniform|bursty|diurnal] [--requests N]\n"
         "          [--levels CSV] [--machines CSV] [--think F]\n"
         "          [--seed N] [--exemplars K] [--min-explained PCT]\n"
-        "          [--jobs N] [--no-batch] [--no-predecode]\n"
+        "          [--jobs N]\n"
         "  --json [path]  write traffic.json (stdout when no path)\n"
         "  --mode M       open: arrivals ignore completions (load =\n"
         "                 fraction of kernel capacity); closed: load =\n"
@@ -89,12 +86,7 @@ usage(const char *argv0)
         "                 cycles (default 99.999)\n"
         "  --jobs N       worker threads, at most 1024 (default: all\n"
         "                 cores; 1 = serial; output is identical either\n"
-        "                 way)\n"
-        "  --no-batch     charge every kernel event one at a time\n"
-        "                 (reference path; output is identical — CI\n"
-        "                 cmp-gates it)\n"
-        "  --no-predecode re-interpret handler programs per event\n"
-        "                 (implies the per-event charging path)\n",
+        "                 way)\n",
         argv0);
 }
 
@@ -321,10 +313,6 @@ main(int argc, char **argv)
                 return bad("a whole number from 0 to 1024");
             jobs = u == 0 ? ParallelRunner::defaultJobs()
                           : static_cast<unsigned>(u);
-        } else if (arg == "--no-batch") {
-            setBatchEnabled(false);
-        } else if (arg == "--no-predecode") {
-            setPredecodeEnabled(false);
         } else if (arg == "--help" || arg == "-h") {
             usage(argv[0]);
             return 0;
