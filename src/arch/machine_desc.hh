@@ -95,6 +95,9 @@ struct CacheDesc
      *  unless entries carry process IDs. */
     bool flushOnContextSwitch = false;
 
+    /** Lines in the cache: what one whole-cache flush visits. */
+    std::uint32_t lineCount() const { return sizeBytes / lineBytes; }
+
     bool operator==(const CacheDesc &) const = default;
 };
 

@@ -194,7 +194,7 @@ ExecModel::chargeOp(const Op &op, Cycles now, CycleBreakdown &bd)
         return desc.cache.flushLineCycles;
 
       case OpKind::CacheFlushAll: {
-        Cycles lines = desc.cache.sizeBytes / desc.cache.lineBytes;
+        Cycles lines = desc.cache.lineCount();
         Cycles c = lines * desc.cache.flushLineCycles;
         bd.cacheMaintenance += c;
         countEvent(HwCounter::CacheFlushLines, lines);

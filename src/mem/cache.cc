@@ -13,7 +13,7 @@ Cache::Cache(const CacheDesc &d) : desc(d)
 {
     if (d.lineBytes == 0 || d.sizeBytes % d.lineBytes != 0)
         fatal("bad cache geometry");
-    lines.resize(d.sizeBytes / d.lineBytes);
+    lines.resize(d.lineCount());
 }
 
 std::size_t
@@ -35,7 +35,6 @@ Cache::access(Addr addr, Asid asid, bool write)
     bool context_match =
         desc.indexing == CacheIndexing::Physical || line.asid == asid;
     if (line.valid && line.tag == tagOf(addr) && context_match) {
-        statGroup.inc("hits");
         countEvent(HwCounter::CacheHits);
         if (write) {
             line.dirty = (desc.policy == WritePolicy::WriteBack);
@@ -44,7 +43,6 @@ Cache::access(Addr addr, Asid asid, bool write)
         }
         return 1;
     }
-    statGroup.inc("misses");
     countEvent(HwCounter::CacheMisses);
     if (write && desc.policy == WritePolicy::WriteThrough)
         countEvent(HwCounter::CacheWriteThroughs);
@@ -73,7 +71,6 @@ Cache::present(Addr addr, Asid asid) const
 Cycles
 Cache::flushPage(Addr page_base, Asid asid)
 {
-    statGroup.inc("page_flushes");
     Addr base = page_base & ~(pageBytes - 1);
     Cycles cost = 0;
     std::uint64_t swept = 0;
@@ -99,7 +96,6 @@ Cache::flushPage(Addr page_base, Asid asid)
 Cycles
 Cache::flushAll()
 {
-    statGroup.inc("full_flushes");
     Cycles cost = 0;
     for (auto &line : lines) {
         if (line.valid && line.dirty)
@@ -112,14 +108,6 @@ Cache::flushAll()
         Tracer::instance().instant(TraceEvent::CacheFlush,
                                    "cache_flush_all", lines.size());
     return cost;
-}
-
-Cycles
-Cache::switchContext(bool tagged)
-{
-    if (desc.indexing == CacheIndexing::Physical || tagged)
-        return 0;
-    return flushAll();
 }
 
 Cycles

@@ -2,11 +2,13 @@
  * @file
  * Functional first-level cache model.
  *
- * Used by the virtual-memory and IPC layers for the §3.2 effects:
- * virtually-addressed caches must be swept when a page's protection
- * changes (at most one TLB entry vs. a whole cache search), and — when
- * untagged — flushed on every context switch (cf. the i860's context
- * switch instruction count). Physically-addressed caches need neither.
+ * The reference model of the §3.2 effects, used by the
+ * `ablation_vcache` bench and the tests: virtually-addressed caches
+ * must be swept when a page's protection changes (at most one TLB
+ * entry vs. a whole cache search), and — when untagged — flushed on
+ * every context switch (cf. the i860's context switch instruction
+ * count). Physically-addressed caches need neither. SimKernel charges
+ * the same sweeps as per-machine constants (see SimKernel).
  */
 
 #ifndef AOSD_MEM_CACHE_HH
@@ -17,7 +19,6 @@
 
 #include "arch/machine_desc.hh"
 #include "mem/tlb.hh"
-#include "sim/stats.hh"
 #include "sim/ticks.hh"
 
 namespace aosd
@@ -51,17 +52,8 @@ class Cache
      */
     Cycles flushAll();
 
-    /**
-     * Model a context switch. Costs a full flush only for virtual
-     * caches without context tags. `tagged` says whether lines carry
-     * context IDs (Sun-4c does; i860 does not).
-     */
-    Cycles switchContext(bool tagged);
-
     std::uint64_t lineCount() const { return lines.size(); }
     const CacheDesc &config() const { return desc; }
-    const StatGroup &stats() const { return statGroup; }
-    void resetStats() { statGroup.reset(); }
 
   private:
     struct Line
@@ -77,7 +69,6 @@ class Cache
 
     CacheDesc desc;
     std::vector<Line> lines;
-    StatGroup statGroup{"cache"};
 };
 
 /**

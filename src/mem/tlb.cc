@@ -21,81 +21,6 @@ Tlb::Tlb(const TlbDesc &d)
         cap *= 2;
     table.assign(cap, IndexCell{});
     tableMask = cap - 1;
-    internStats();
-}
-
-void
-Tlb::internStats()
-{
-    statLookups = &statGroup.handle("lookups");
-    statHits = &statGroup.handle("hits");
-    statMisses = &statGroup.handle("misses");
-    statKernelMisses = &statGroup.handle("kernel_misses");
-    statUserMisses = &statGroup.handle("user_misses");
-    statInserts = &statGroup.handle("inserts");
-}
-
-Tlb::Tlb(const Tlb &o)
-    : desc(o.desc), entries(o.entries), useClock(o.useClock),
-      table(o.table), tableMask(o.tableMask), lruPrev(o.lruPrev),
-      lruNext(o.lruNext), lruHead(o.lruHead), lruTail(o.lruTail),
-      freeWords(o.freeWords), freeCount(o.freeCount),
-      statGroup(o.statGroup)
-{
-    internStats();
-}
-
-Tlb::Tlb(Tlb &&o)
-    : desc(std::move(o.desc)), entries(std::move(o.entries)),
-      useClock(o.useClock), table(std::move(o.table)),
-      tableMask(o.tableMask), lruPrev(std::move(o.lruPrev)),
-      lruNext(std::move(o.lruNext)), lruHead(o.lruHead),
-      lruTail(o.lruTail), freeWords(std::move(o.freeWords)),
-      freeCount(o.freeCount), statGroup(std::move(o.statGroup))
-{
-    internStats();
-}
-
-Tlb &
-Tlb::operator=(const Tlb &o)
-{
-    if (this == &o)
-        return *this;
-    desc = o.desc;
-    entries = o.entries;
-    useClock = o.useClock;
-    table = o.table;
-    tableMask = o.tableMask;
-    lruPrev = o.lruPrev;
-    lruNext = o.lruNext;
-    lruHead = o.lruHead;
-    lruTail = o.lruTail;
-    freeWords = o.freeWords;
-    freeCount = o.freeCount;
-    statGroup = o.statGroup;
-    internStats();
-    return *this;
-}
-
-Tlb &
-Tlb::operator=(Tlb &&o)
-{
-    if (this == &o)
-        return *this;
-    desc = std::move(o.desc);
-    entries = std::move(o.entries);
-    useClock = o.useClock;
-    table = std::move(o.table);
-    tableMask = o.tableMask;
-    lruPrev = std::move(o.lruPrev);
-    lruNext = std::move(o.lruNext);
-    lruHead = o.lruHead;
-    lruTail = o.lruTail;
-    freeWords = std::move(o.freeWords);
-    freeCount = o.freeCount;
-    statGroup = std::move(o.statGroup);
-    internStats();
-    return *this;
 }
 
 void
@@ -197,8 +122,6 @@ Tlb::dropEntry(std::uint32_t slot)
 TlbLookup
 Tlb::lookupMiss(std::uint32_t empty_cell, bool kernel_space)
 {
-    ++*statMisses;
-    ++*(kernel_space ? statKernelMisses : statUserMisses);
     Cycles cost;
     if (desc.management == TlbManagement::Hardware) {
         cost = desc.hwMissCycles;
@@ -244,7 +167,6 @@ Tlb::insert(Vpn vpn, Asid asid, Pfn pfn, PageProt prot, bool locked)
     e.pfn = pfn;
     e.prot = prot;
     e.lastUse = ++useClock;
-    ++*statInserts;
     if (tracerEnabled())
         Tracer::instance().instant(TraceEvent::TlbFill, "tlb_fill", vpn);
 }
@@ -286,7 +208,6 @@ Tlb::refill(Vpn vpn, Asid asid, Pfn pfn, PageProt prot,
     e.pfn = pfn;
     e.prot = prot;
     e.lastUse = ++useClock;
-    ++*statInserts;
     if (tracerEnabled())
         Tracer::instance().instant(TraceEvent::TlbFill, "tlb_fill", vpn);
 }
@@ -297,7 +218,6 @@ Tlb::invalidate(Vpn vpn, Asid asid)
     std::uint32_t slot = findSlot(vpn, asid);
     if (slot != npos) {
         dropEntry(slot);
-        statGroup.inc("entry_purges");
         countEvent(HwCounter::TlbPurges);
     }
 }
@@ -315,7 +235,6 @@ Tlb::invalidateAll()
     for (IndexCell &c : table)
         c.slot = npos;
     lruHead = lruTail = npos;
-    statGroup.inc("full_purges");
     countEvent(HwCounter::TlbPurges);
     if (tracerEnabled())
         Tracer::instance().instant(TraceEvent::TlbPurge, "tlb_purge_all",
@@ -328,7 +247,6 @@ Tlb::invalidateAsid(Asid asid)
     for (std::uint32_t s = 0; s < entries.size(); ++s)
         if (entries[s].valid && entries[s].asid == asid)
             dropEntry(s);
-    statGroup.inc("asid_purges");
     countEvent(HwCounter::TlbPurges);
 }
 

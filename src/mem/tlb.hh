@@ -19,7 +19,6 @@
 
 #include "arch/machine_desc.hh"
 #include "sim/counters/counters.hh"
-#include "sim/stats.hh"
 #include "sim/ticks.hh"
 
 namespace aosd
@@ -77,13 +76,6 @@ class Tlb
   public:
     explicit Tlb(const TlbDesc &d);
 
-    /** Copies/moves re-intern the hot stat handles, which point into
-     *  the copied StatGroup. */
-    Tlb(const Tlb &o);
-    Tlb(Tlb &&o);
-    Tlb &operator=(const Tlb &o);
-    Tlb &operator=(Tlb &&o);
-
     /** Probe for (vpn, asid); updates recency on hit.
      *  @param kernel_space  the reference is to mapped kernel space
      *  (selects the software-refill cost on sw-managed TLBs). */
@@ -128,8 +120,6 @@ class Tlb
     std::size_t entriesForAsid(Asid asid) const;
 
     const TlbDesc &config() const { return desc; }
-    const StatGroup &stats() const { return statGroup; }
-    void resetStats() { statGroup.reset(); }
 
   private:
     struct Entry
@@ -185,7 +175,7 @@ class Tlb
     void probeInsert(SlotKey k, std::uint32_t slot);
     void probeErase(SlotKey k);
 
-    /** Out-of-line miss bookkeeping (stats, counters, tracer, cost
+    /** Out-of-line miss bookkeeping (counters, tracer, cost
      *  selection); the inline lookup() keeps only the hit path hot.
      *  `empty_cell` is the index cell the failed probe ended on,
      *  passed through as TlbLookup::fillCell. */
@@ -205,8 +195,6 @@ class Tlb
 
     void dropEntry(std::uint32_t slot);
 
-    void internStats();
-
     TlbDesc desc;
     std::vector<Entry> entries;
     std::uint64_t useClock = 0;
@@ -220,14 +208,6 @@ class Tlb
      *  scan's "first invalid entry in slot order". */
     std::vector<std::uint64_t> freeWords;
     std::uint32_t freeCount = 0;
-    StatGroup statGroup{"tlb"};
-    /** Interned hot stat handles (see internStats). */
-    std::uint64_t *statLookups = nullptr;
-    std::uint64_t *statHits = nullptr;
-    std::uint64_t *statMisses = nullptr;
-    std::uint64_t *statKernelMisses = nullptr;
-    std::uint64_t *statUserMisses = nullptr;
-    std::uint64_t *statInserts = nullptr;
 };
 
 // The lookup hit path is the single hottest loop in the workload
@@ -288,7 +268,6 @@ Tlb::lruTouch(std::uint32_t slot)
 inline TlbLookup
 Tlb::lookup(Vpn vpn, Asid asid, bool kernel_space)
 {
-    ++*statLookups;
     SlotKey k = keyFor(vpn, asid);
     std::uint32_t i = hashKey(k) & tableMask;
     while (table[i].slot != npos) {
@@ -298,7 +277,6 @@ Tlb::lookup(Vpn vpn, Asid asid, bool kernel_space)
             Entry &e = entries[slot];
             e.lastUse = ++useClock;
             lruTouch(slot);
-            ++*statHits;
             countEvent(HwCounter::TlbHits);
             return {true, e.pfn, e.prot, 0};
         }

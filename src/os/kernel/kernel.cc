@@ -26,8 +26,16 @@ kernelWindowCosts(const MachineDesc &machine)
 
 SimKernel::SimKernel(const MachineDesc &machine)
     : desc(machine), costs(sharedCostDb()),
-      tasCycles(emulatedTasCycles(machine)), tlbModel(machine.tlb),
-      cacheModel(machine.cache)
+      tasCycles(emulatedTasCycles(machine)),
+      pageFlushLines(machine.cache.indexing == CacheIndexing::Virtual
+                         ? pageBytes / machine.cache.lineBytes
+                         : 0),
+      switchFlushLines(machine.cache.indexing == CacheIndexing::Virtual &&
+                               machine.cache.flushOnContextSwitch
+                           ? machine.cache.lineCount()
+                           : 0),
+      switchFlushCycles(switchFlushLines * machine.cache.flushLineCycles),
+      tlbModel(machine.tlb)
 {
     for (Primitive p : allPrimitives)
         primCost[static_cast<std::size_t>(p)] = &costs.cost(desc.id, p);
@@ -54,12 +62,13 @@ SimKernel::createSpace(const std::string &name)
     Asid asid = nextAsid++;
     if (desc.tlb.processIdTags && desc.tlb.pidCount > 0) {
         // ASIDs wrap on real hardware; recycling one forces a purge of
-        // stale translations.
-        Asid wrapped = asid % desc.tlb.pidCount;
+        // its stale translations. ASID 0 is the kernel's own and is
+        // never handed out.
         if (asid >= desc.tlb.pidCount) {
-            tlbModel.invalidateAsid(wrapped);
-            countEvent(HwCounter::AsidRollovers);
+            Asid wrapped = asid % desc.tlb.pidCount;
             asid = wrapped == 0 ? 1 : wrapped;
+            tlbModel.invalidateAsid(asid);
+            countEvent(HwCounter::AsidRollovers);
         }
     }
     spaces.push_back(std::make_unique<AddressSpace>(name, asid, desc));
@@ -303,16 +312,15 @@ SimKernel::pteChangeBatch(AddressSpace &space,
     *statPteChanges += n;
     countEvent(HwCounter::PteChanges, n);
     chargePrimitiveBatch("pte_change", Primitive::PteChange, n);
-    // Stepped state edits at the batch boundary: each page's PTE,
-    // TLB shootdown and (virtually-indexed) cache flush. These only
-    // mutate state and bump their own counters — no cycles, no
-    // attribution — so running them after the aggregate charge
-    // leaves every observable total equal to the interleaved loop's.
+    countEvent(HwCounter::CacheFlushLines, pageFlushLines * n);
+    // Stepped state edits at the batch boundary: each page's PTE and
+    // TLB shootdown. These only mutate state and bump their own
+    // counters — no cycles, no attribution — so running them after
+    // the aggregate charge leaves every observable total equal to the
+    // interleaved loop's.
     for (Vpn vpn : vpns) {
         space.pageTable().protect(vpn, prot);
         tlbModel.invalidate(vpn, space.asid());
-        if (desc.cache.indexing == CacheIndexing::Virtual)
-            cacheModel.flushPage(vpn << pageShift, space.asid());
     }
 }
 
@@ -359,9 +367,14 @@ SimKernel::pteChange(AddressSpace &space, Vpn vpn, PageProt prot)
     tlbModel.invalidate(vpn, space.asid());
     // Virtually-addressed caches must also drop the page's lines; the
     // simulated primitive already charges the machine's sweep cost
-    // (i860: 536 of 559 instructions), so only state changes here.
-    if (desc.cache.indexing == CacheIndexing::Virtual)
-        cacheModel.flushPage(vpn << pageShift, space.asid());
+    // (i860: 536 of 559 instructions), so only the lines are counted.
+    if (pageFlushLines) {
+        countEvent(HwCounter::CacheFlushLines, pageFlushLines);
+        if (tracerEnabled())
+            Tracer::instance().instant(TraceEvent::CacheFlush,
+                                       "cache_flush_page",
+                                       pageFlushLines);
+    }
 }
 
 void
@@ -394,15 +407,19 @@ SimKernel::contextSwitchTo(AddressSpace &target)
         spanLeaf("tlb_purge", purge);
     }
 
-    bool cache_tagged = !desc.cache.flushOnContextSwitch;
-    Cycles flush = cacheModel.switchContext(cache_tagged);
-    cycleCount += flush;
-    primCycles += flush;
-    if (flush) {
-        countEvent(HwCounter::CacheFlushCycles, flush);
+    if (switchFlushLines) {
+        countEvent(HwCounter::CacheFlushLines, switchFlushLines);
+        if (tracerEnabled())
+            Tracer::instance().instant(TraceEvent::CacheFlush,
+                                       "cache_flush_all",
+                                       switchFlushLines);
+        cycleCount += switchFlushCycles;
+        primCycles += switchFlushCycles;
+        countEvent(HwCounter::CacheFlushCycles, switchFlushCycles);
         if (profilerEnabled())
-            Profiler::instance().addLeafCycles("cache_flush", flush);
-        spanLeaf("cache_flush", flush);
+            Profiler::instance().addLeafCycles("cache_flush",
+                                               switchFlushCycles);
+        spanLeaf("cache_flush", switchFlushCycles);
     }
 
     for (std::size_t i = 0; i < spaces.size(); ++i) {
@@ -588,8 +605,6 @@ SimKernel::resetAccounting()
     cycleCount = 0;
     primCycles = 0;
     counters.reset();
-    tlbModel.resetStats();
-    cacheModel.resetStats();
 }
 
 } // namespace aosd

@@ -21,7 +21,6 @@
 
 #include "arch/machine_desc.hh"
 #include "cpu/primitive_costs.hh"
-#include "mem/cache.hh"
 #include "mem/tlb.hh"
 #include "os/kernel/address_space.hh"
 #include "sim/counters/reconcile.hh"
@@ -65,7 +64,15 @@ inline constexpr Cycles emulatedInstrCycles = 4;
  *  reconcileKernelWindow() over a workload window. */
 KernelWindowCosts kernelWindowCosts(const MachineDesc &machine);
 
-/** One machine's kernel: time accounting + counting + TLB/cache state. */
+/**
+ * One machine's kernel: time accounting + counting + TLB state, with
+ * the §3.2 virtual-cache flushes charged as per-machine constants.
+ * No kernel path references memory through a cache, so no cache line
+ * is ever valid and every sweep — a page per PTE change, the whole
+ * cache per switch when untagged — visits the same lines at the same
+ * cost. A change that makes the kernel access a cache must bring the
+ * cache state (a functional Cache) back.
+ */
 class SimKernel
 {
   public:
@@ -195,7 +202,6 @@ class SimKernel
     StatGroup &mutableStats() { return counters; }
 
     Tlb &tlb() { return tlbModel; }
-    Cache &cache() { return cacheModel; }
 
     void resetAccounting();
 
@@ -220,8 +226,16 @@ class SimKernel
         primCost{};
     /** emulatedTasCycles(desc), charged per emulated test&set. */
     const Cycles tasCycles;
+    /** Lines a PTE change sweeps: the page's footprint on a virtually
+     *  indexed cache, else 0. The PteChange primitive already charges
+     *  the sweep, so only the lines are counted. */
+    const std::uint64_t pageFlushLines;
+    /** Lines a context switch flushes: the whole cache when virtually
+     *  indexed without context tags, else 0. */
+    const std::uint64_t switchFlushLines;
+    /** switchFlushLines × flushLineCycles, charged per switch. */
+    const Cycles switchFlushCycles;
     Tlb tlbModel;
-    Cache cacheModel;
     StatGroup counters{"kernel"};
     /** Interned kstat handles (StatGroup::handle): the workload loop
      *  bumps these once per kernel event, so no string lookups there.

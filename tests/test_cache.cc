@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "arch/machines.hh"
+#include "counting_scope.hh"
 #include "mem/cache.hh"
 #include "mem/page_table.hh"
 
@@ -94,31 +95,29 @@ TEST(Cache, FlushPageSweepsWholePageFootprint)
     EXPECT_GE(cost, lines_per_page * 3);
 }
 
-TEST(Cache, SwitchContextOnlyFlushesUntaggedVirtual)
+TEST(Cache, FlushAllInvalidatesEveryLine)
 {
+    // Which machines flush on a switch is SimKernel's contract
+    // (SimKernel.FlushChargesMatchReferenceCache).
+    CountingScope counting;
     Cache v(smallVirtual());
     v.access(0x10, 1, false);
-    EXPECT_EQ(v.switchContext(/*tagged=*/true), 0u);
     EXPECT_TRUE(v.present(0x10, 1));
-    EXPECT_GT(v.switchContext(/*tagged=*/false), 0u);
+    EXPECT_EQ(v.flushAll(), v.lineCount() * 3);
     EXPECT_FALSE(v.present(0x10, 1));
-
-    CacheDesc pd = smallVirtual();
-    pd.indexing = CacheIndexing::Physical;
-    Cache p(pd);
-    p.access(0x10, 1, false);
-    EXPECT_EQ(p.switchContext(false), 0u);
+    EXPECT_EQ(counting.value(HwCounter::CacheFlushLines), v.lineCount());
 }
 
 TEST(Cache, StatsTrackHitsAndFlushes)
 {
+    CountingScope counting;
     Cache c(smallVirtual());
     c.access(1, 1, false);
     c.access(1, 1, false);
     c.flushAll();
-    EXPECT_EQ(c.stats().get("misses"), 1u);
-    EXPECT_EQ(c.stats().get("hits"), 1u);
-    EXPECT_EQ(c.stats().get("full_flushes"), 1u);
+    EXPECT_EQ(counting.value(HwCounter::CacheMisses), 1u);
+    EXPECT_EQ(counting.value(HwCounter::CacheHits), 1u);
+    EXPECT_EQ(counting.value(HwCounter::CacheFlushLines), c.lineCount());
 }
 
 TEST(CacheDeathTest, BadGeometryIsFatal)

@@ -1,12 +1,15 @@
 /**
  * @file
  * Unit tests for the instrumented simulated kernel (SimKernel):
- * counting, charging, context-switch side effects, ASID recycling.
+ * counting, charging, context-switch side effects, the virtual-cache
+ * flush contract, ASID recycling.
  */
 
 #include <gtest/gtest.h>
 
 #include "arch/machines.hh"
+#include "counting_scope.hh"
+#include "mem/cache.hh"
 #include "os/kernel/kernel.hh"
 
 namespace aosd
@@ -61,6 +64,7 @@ TEST(SimKernel, SwitchToCurrentSpaceIsFree)
 
 TEST(SimKernel, UntaggedTlbPurgedOnSwitch)
 {
+    CountingScope counting;
     SimKernel k(makeMachine(MachineId::CVAX)); // untagged TLB
     AddressSpace &a = k.createSpace("a");
     AddressSpace &b = k.createSpace("b");
@@ -72,7 +76,7 @@ TEST(SimKernel, UntaggedTlbPurgedOnSwitch)
     k.contextSwitchTo(b);
     // Purge happened; only b's (empty) refill remains.
     EXPECT_LT(k.tlb().validEntries(), after_a + 1);
-    EXPECT_EQ(k.tlb().stats().get("full_purges"), 2u);
+    EXPECT_EQ(counting.value(HwCounter::TlbPurges), 2u);
 }
 
 TEST(SimKernel, TaggedTlbSurvivesSwitch)
@@ -151,12 +155,145 @@ TEST(SimKernel, AsidRecyclingPurgesStaleEntries)
     MachineDesc m = makeMachine(MachineId::R3000);
     m.tlb.pidCount = 4; // tiny ASID space to force recycling
     SimKernel k(m);
+    AddressSpace &first = k.createSpace("first");
+    ASSERT_EQ(first.asid(), 1u);
+    first.mapRange(0x100, 1, 0x900, {});
+    k.contextSwitchTo(first);
+    k.touchPages({0x100}, false);
+    k.touchPages({0x800}, /*kernel_space=*/true); // ASID 0's own entry
+    ASSERT_TRUE(k.tlb().lookup(0x100, first.asid()).hit);
+
+    // ASIDs 2 and 3, then the wrap hands out ASID 1 again.
     std::vector<AddressSpace *> spaces;
-    for (int i = 0; i < 10; ++i)
+    for (int i = 0; i < 3; ++i)
+        spaces.push_back(&k.createSpace("s" + std::to_string(i)));
+    AddressSpace &reused = *spaces.back();
+    ASSERT_EQ(reused.asid(), first.asid());
+    // The new owner must not see the previous owner's translation,
+    // and the kernel's translations survive the purge.
+    EXPECT_FALSE(k.tlb().lookup(0x100, reused.asid()).hit);
+    EXPECT_TRUE(k.tlb().lookup(0x800, 0, true).hit);
+
+    for (int i = 3; i < 10; ++i)
         spaces.push_back(&k.createSpace("s" + std::to_string(i)));
     // ASIDs must stay within the architectural range.
     for (AddressSpace *s : spaces)
         EXPECT_LT(s->asid(), 4u);
+}
+
+/** Swept lines and cycles of `op` on a fresh reference Cache. */
+template <typename Op>
+std::pair<std::uint64_t, Cycles>
+referenceSweep(const CacheDesc &d, Op op)
+{
+    Cache ref(d);
+    std::uint64_t before =
+        HwCounters::instance().value(HwCounter::CacheFlushLines);
+    Cycles cost = op(ref);
+    return {HwCounters::instance().value(HwCounter::CacheFlushLines) -
+                before,
+            cost};
+}
+
+/** Records named `name` in the tracer's ring. */
+std::vector<TraceRecord>
+traced(const char *name)
+{
+    std::vector<TraceRecord> out;
+    for (const TraceRecord &r : Tracer::instance().snapshot())
+        if (std::string(r.name) == name)
+            out.push_back(r);
+    return out;
+}
+
+TEST(SimKernel, FlushChargesMatchReferenceCache)
+{
+    // The kernel charges each §3.2 sweep as a per-machine constant;
+    // it must equal what the functional Cache does on the same
+    // machine: flushPage's swept lines per PTE change (virtual caches
+    // only), flushAll()'s lines and cost per switch (untagged virtual
+    // caches only).
+    for (const MachineDesc &m : allMachines()) {
+        SCOPED_TRACE(m.name);
+        CountingScope counting;
+        const bool virt = m.cache.indexing == CacheIndexing::Virtual;
+        const bool untagged = virt && m.cache.flushOnContextSwitch;
+        const std::uint64_t page_lines =
+            referenceSweep(m.cache, [](Cache &c) {
+                return c.flushPage(0x100000, 1);
+            }).first;
+        const auto [all_lines, all_cost] =
+            referenceSweep(m.cache, [](Cache &c) { return c.flushAll(); });
+        const std::uint64_t exp_page = virt ? page_lines : 0;
+        const std::uint64_t exp_switch = untagged ? all_lines : 0;
+        const Cycles exp_switch_cycles = untagged ? all_cost : 0;
+        if (m.id == MachineId::SPARC) {
+            EXPECT_EQ(exp_page, 256u);
+            EXPECT_EQ(exp_switch, 0u);
+        } else if (m.id == MachineId::I860) {
+            EXPECT_EQ(exp_page, 128u);
+            EXPECT_EQ(exp_switch, 256u);
+            EXPECT_EQ(exp_switch_cycles, 768u);
+        } else {
+            EXPECT_FALSE(virt);
+            EXPECT_EQ(exp_page, 0u);
+            EXPECT_EQ(exp_switch, 0u);
+        }
+
+        SimKernel k(m);
+        AddressSpace &a = k.createSpace("a");
+        AddressSpace &b = k.createSpace("b");
+        a.mapRange(0x100, 4, 0x900, {});
+        PageProt ro;
+        ro.writable = false;
+        const Cycles pte_cycles =
+            sharedCostDb().cycles(m.id, Primitive::PteChange);
+        const Cycles switch_cycles =
+            sharedCostDb().cycles(m.id, Primitive::ContextSwitch) +
+            (m.tlb.processIdTags ? 0 : m.tlb.purgeAllCycles);
+
+        // One PTE change: the primitive already prices the sweep, so
+        // only the lines are counted.
+        std::uint64_t lines0 = counting.value(HwCounter::CacheFlushLines);
+        Cycles t0 = k.elapsedCycles();
+        k.pteChange(a, 0x100, ro);
+        EXPECT_EQ(counting.value(HwCounter::CacheFlushLines) - lines0,
+                  exp_page);
+        EXPECT_EQ(counting.value(HwCounter::CacheFlushCycles), 0u);
+        EXPECT_EQ(k.elapsedCycles() - t0, pte_cycles);
+
+        // The batched path counts the same lines per page.
+        lines0 = counting.value(HwCounter::CacheFlushLines);
+        t0 = k.elapsedCycles();
+        k.pteChangeBatch(a, {0x101, 0x102, 0x103}, ro);
+        EXPECT_EQ(counting.value(HwCounter::CacheFlushLines) - lines0,
+                  3 * exp_page);
+        EXPECT_EQ(k.elapsedCycles() - t0, 3 * pte_cycles);
+
+        // One context switch (empty working set: no refills).
+        lines0 = counting.value(HwCounter::CacheFlushLines);
+        t0 = k.elapsedCycles();
+        k.contextSwitchTo(a);
+        EXPECT_EQ(counting.value(HwCounter::CacheFlushLines) - lines0,
+                  exp_switch);
+        EXPECT_EQ(counting.value(HwCounter::CacheFlushCycles),
+                  exp_switch_cycles);
+        EXPECT_EQ(k.elapsedCycles() - t0,
+                  switch_cycles + exp_switch_cycles);
+
+        // The tracer sees one instant per sweep, the lines as its arg.
+        Tracer::instance().enable(1 << 12);
+        k.pteChange(a, 0x100, ro);
+        k.contextSwitchTo(b);
+        const auto pages = traced("cache_flush_page");
+        const auto alls = traced("cache_flush_all");
+        ASSERT_EQ(pages.size(), virt ? 1u : 0u);
+        ASSERT_EQ(alls.size(), untagged ? 1u : 0u);
+        for (const TraceRecord &r : pages)
+            EXPECT_EQ(r.arg, exp_page);
+        for (const TraceRecord &r : alls)
+            EXPECT_EQ(r.arg, exp_switch);
+    }
 }
 
 TEST(SimKernel, RunUserCodeScalesWithAppPerformance)

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "arch/machines.hh"
+#include "counting_scope.hh"
 #include "mem/tlb.hh"
 #include "sim/random.hh"
 
@@ -124,16 +125,19 @@ TEST(Tlb, MissCostsFollowManagementStyle)
 
 TEST(Tlb, StatsCountHitsAndMisses)
 {
-    Tlb tlb(smallTagged());
+    CountingScope counting;
+    TlbDesc d = smallTagged();
+    d.management = TlbManagement::Software;
+    Tlb tlb(d);
     tlb.lookup(1, 1);          // miss
     tlb.insert(1, 1, 1, {});
     tlb.lookup(1, 1);          // hit
     tlb.lookup(2, 1, true);    // kernel miss
-    EXPECT_EQ(tlb.stats().get("lookups"), 3u);
-    EXPECT_EQ(tlb.stats().get("hits"), 1u);
-    EXPECT_EQ(tlb.stats().get("misses"), 2u);
-    EXPECT_EQ(tlb.stats().get("kernel_misses"), 1u);
-    EXPECT_EQ(tlb.stats().get("user_misses"), 1u);
+    EXPECT_EQ(counting.value(HwCounter::TlbHits), 1u);
+    EXPECT_EQ(counting.value(HwCounter::TlbMisses), 2u);
+    // One user and one kernel miss, told apart by their refill prices.
+    EXPECT_EQ(counting.value(HwCounter::TlbRefillCycles),
+              d.swUserMissCycles + d.swKernelMissCycles);
 }
 
 TEST(Tlb, InsertUpdatesExistingEntry)
