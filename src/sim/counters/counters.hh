@@ -17,9 +17,9 @@
  * the paper's own arithmetic for Tables 1/2/5.
  *
  * Counting is off by default; a disabled bump is one non-atomic load
- * and a predictable branch (the profdetail::on pattern). Configure
- * with -DAOSD_DISABLE_COUNTERS=ON to compile the hooks out entirely
- * (used to bound the disabled-but-compiled-in overhead).
+ * and a predictable branch (the profdetail::on pattern). The hooks are
+ * always compiled in: the cycles-explained arithmetic is read off these
+ * counters, so a build without them would model a different machine.
  *
  * Counter state is per thread: each simulation slice (see
  * sim/parallel/parallel_runner.hh) counts into its own file, so
@@ -148,40 +148,26 @@ extern thread_local std::array<std::uint64_t, numHwCounters> vals;
 inline bool
 countersEnabled()
 {
-#ifndef AOSD_COUNTERS_DISABLED
     return ctrdetail::on;
-#else
-    return false;
-#endif
 }
 
 /** Bump an event counter (saturation-free 64-bit accumulate). */
 inline void
 countEvent(HwCounter c, std::uint64_t n = 1)
 {
-#ifndef AOSD_COUNTERS_DISABLED
     if (ctrdetail::on)
         ctrdetail::vals[static_cast<std::size_t>(c)] += n;
-#else
-    (void)c;
-    (void)n;
-#endif
 }
 
 /** Raise a high-water counter to `v` if `v` exceeds it. */
 inline void
 countHighWater(HwCounter c, std::uint64_t v)
 {
-#ifndef AOSD_COUNTERS_DISABLED
     if (ctrdetail::on) {
         std::uint64_t &s = ctrdetail::vals[static_cast<std::size_t>(c)];
         if (v > s)
             s = v;
     }
-#else
-    (void)c;
-    (void)v;
-#endif
 }
 
 /**

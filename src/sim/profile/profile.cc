@@ -99,7 +99,6 @@ Profiler::clear()
 void
 Profiler::addLeafCycles(const char *leaf, Cycles c)
 {
-#ifndef AOSD_PROFILER_DISABLED
     if (!profdetail::on)
         return;
     ProfNode *node = cur->child(leaf);
@@ -107,17 +106,12 @@ Profiler::addLeafCycles(const char *leaf, Cycles c)
     node->entries += 1;
     node->spans.sample(c);
     attributed += c;
-#else
-    (void)leaf;
-    (void)c;
-#endif
 }
 
 void
 Profiler::addLeafCyclesRepeated(const char *leaf, Cycles each,
                                 std::uint64_t k)
 {
-#ifndef AOSD_PROFILER_DISABLED
     if (!profdetail::on || k == 0)
         return;
     ProfNode *node = cur->child(leaf);
@@ -125,27 +119,16 @@ Profiler::addLeafCyclesRepeated(const char *leaf, Cycles each,
     node->entries += k;
     node->spans.sampleN(each, k);
     attributed += each * k;
-#else
-    (void)leaf;
-    (void)each;
-    (void)k;
-#endif
 }
 
 ProfNode *
 Profiler::pushRepeated(const char *name, std::uint64_t k)
 {
-#ifndef AOSD_PROFILER_DISABLED
     if (!profdetail::on)
         return nullptr;
     cur = cur->child(name);
     cur->entries += k;
     return cur;
-#else
-    (void)name;
-    (void)k;
-    return nullptr;
-#endif
 }
 
 void

@@ -17,9 +17,8 @@
  * did the cycles go" always sums to "how long did it take".
  *
  * Profiling is off by default; a disabled ProfScope costs one branch.
- * Configure with -DAOSD_DISABLE_PROFILER=ON to compile the hooks out
- * entirely (used to bound the disabled-but-compiled-in overhead; see
- * EXPERIMENTS.md).
+ * The hooks are always compiled in: Table 5's system-call anatomy is
+ * read off this tree (see EXPERIMENTS.md).
  *
  * Profiler state is per thread: each simulation slice (see
  * sim/parallel/parallel_runner.hh) attributes into its own tree, and
@@ -55,11 +54,7 @@ extern thread_local bool on;
 inline bool
 profilerEnabled()
 {
-#ifndef AOSD_PROFILER_DISABLED
     return profdetail::on;
-#else
-    return false;
-#endif
 }
 
 /** One node of the attribution tree. */
@@ -131,14 +126,10 @@ class Profiler
     void
     addCycles(Cycles c)
     {
-#ifndef AOSD_PROFILER_DISABLED
         if (!profdetail::on)
             return;
         cur->selfCycles += c;
         attributed += c;
-#else
-        (void)c;
-#endif
     }
 
     /** Attribute cycles to a named leaf child of the current scope,
@@ -212,25 +203,19 @@ class ProfScope
   public:
     explicit ProfScope(const char *name)
     {
-#ifndef AOSD_PROFILER_DISABLED
         if (!profdetail::on)
             return;
         Profiler &p = Profiler::instance();
         entryAttributed = p.attributedCycles();
         entryGeneration = p.generation;
         node = p.push(name);
-#else
-        (void)name;
-#endif
     }
 
     ~ProfScope()
     {
-#ifndef AOSD_PROFILER_DISABLED
         if (node)
             Profiler::instance().pop(node, entryAttributed,
                                      entryGeneration);
-#endif
     }
 
     ProfScope(const ProfScope &) = delete;

@@ -32,9 +32,7 @@ CounterSampler::begin(const SamplerConfig &cfg, Cycles start_cycle,
     cap = cfg.capacity ? cfg.capacity : 1;
     nextDue = start_cycle + cfg.intervalCycles;
     lastSample = start_cycle;
-#ifndef AOSD_SAMPLER_DISABLED
     smpdetail::on = cfg.intervalCycles > 0;
-#endif
 }
 
 void
@@ -90,7 +88,6 @@ CounterSampler::tickRun(Cycles start, Cycles per_event,
                         std::uint64_t aux_start,
                         std::uint64_t aux_per_event)
 {
-#ifndef AOSD_SAMPLER_DISABLED
     if (!smpdetail::on || n == 0)
         return;
     if (per_event == 0) {
@@ -125,14 +122,6 @@ CounterSampler::tickRun(Cycles start, Cycles per_event,
                static_cast<double>(aux_start + aux_per_event * i),
                std::move(snap));
     }
-#else
-    (void)start;
-    (void)per_event;
-    (void)n;
-    (void)per_event_counters;
-    (void)aux_start;
-    (void)aux_per_event;
-#endif
 }
 
 void
@@ -143,9 +132,7 @@ CounterSampler::finish(Cycles end_cycle, double aux)
     if (end_cycle > lastSample)
         take(end_cycle, aux);
     series_.endCycle = end_cycle;
-#ifndef AOSD_SAMPLER_DISABLED
     smpdetail::on = false;
-#endif
 }
 
 Json

@@ -16,9 +16,8 @@
  *
  * Sampling is off by default; a disabled tick is one thread-local load
  * and a predictable branch (the ctrdetail::on / profdetail::on /
- * trcdetail::on pattern). Configure with -DAOSD_DISABLE_SAMPLER=ON to
- * compile the hooks out entirely (used to bound the disabled-but-
- * compiled-in overhead).
+ * trcdetail::on pattern). The hooks are always compiled in;
+ * EXPERIMENTS.md says where their cost is measured.
  *
  * Sampler state is per thread: each simulation slice (see
  * sim/parallel/parallel_runner.hh) samples its own cell, drivers open
@@ -54,11 +53,7 @@ extern thread_local bool on;
 inline bool
 samplingEnabled()
 {
-#ifndef AOSD_SAMPLER_DISABLED
     return smpdetail::on;
-#else
-    return false;
-#endif
 }
 
 /** How a sampling session runs. */
@@ -136,16 +131,11 @@ class CounterSampler
     void
     tick(Cycles now, double aux = 0)
     {
-#ifndef AOSD_SAMPLER_DISABLED
         if (!smpdetail::on)
             return;
         if (now < nextDue)
             return;
         take(now, aux);
-#else
-        (void)now;
-        (void)aux;
-#endif
     }
 
     /**

@@ -90,7 +90,6 @@ void
 SpanTracer::beginRequest(const char *name, std::uint64_t id,
                          Cycles now)
 {
-#ifndef AOSD_SPANTRACE_DISABLED
     if (!armed_)
         return;
     if (spdetail::on)
@@ -103,17 +102,11 @@ SpanTracer::beginRequest(const char *name, std::uint64_t id,
         {&requestRoot_, now, HwCounters::instance().snapshot(), false});
     ++gen_;
     spdetail::on = true;
-#else
-    (void)name;
-    (void)id;
-    (void)now;
-#endif
 }
 
 void
 SpanTracer::endRequest(Cycles now)
 {
-#ifndef AOSD_SPANTRACE_DISABLED
     if (!spdetail::on)
         return;
     if (stack_.empty()) {
@@ -141,9 +134,6 @@ SpanTracer::endRequest(Cycles now)
     else
         ++session_.dropped;
     requestRoot_ = SpanNode{};
-#else
-    (void)now;
-#endif
 }
 
 void

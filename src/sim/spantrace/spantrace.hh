@@ -17,9 +17,8 @@
  * Tracing is off by default; a disabled hook costs one non-atomic
  * thread-local load and a branch (the profdetail::on pattern —
  * spdetail::on is true only while a request is open inside an armed
- * session, so idle hooks never take the slow path). Configure with
- * -DAOSD_DISABLE_SPANTRACE=ON to compile the hooks out entirely (used
- * to bound the disabled-but-compiled-in overhead; see EXPERIMENTS.md).
+ * session, so idle hooks never take the slow path). The hooks are
+ * always compiled in; EXPERIMENTS.md says where their cost is measured.
  *
  * Tracer state is per thread: each simulation slice (see
  * sim/parallel/parallel_runner.hh) traces into its own session, and
@@ -58,11 +57,7 @@ extern thread_local bool on;
 inline bool
 spantraceEnabled()
 {
-#ifndef AOSD_SPANTRACE_DISABLED
     return spdetail::on;
-#else
-    return false;
-#endif
 }
 
 /** One span of a request's tree. Unlike ProfNode, children are not
@@ -205,25 +200,18 @@ class SpanScope
   public:
     SpanScope(const char *name, const Cycles &clock)
     {
-#ifndef AOSD_SPANTRACE_DISABLED
         if (!spdetail::on)
             return;
         SpanTracer &t = SpanTracer::instance();
         clock_ = &clock;
         gen_ = t.generation();
         node_ = t.push(name, clock);
-#else
-        (void)name;
-        (void)clock;
-#endif
     }
 
     ~SpanScope()
     {
-#ifndef AOSD_SPANTRACE_DISABLED
         if (node_)
             SpanTracer::instance().pop(node_, *clock_, gen_);
-#endif
     }
 
     SpanScope(const SpanScope &) = delete;
@@ -245,23 +233,17 @@ class SpanGroup
   public:
     explicit SpanGroup(const char *name)
     {
-#ifndef AOSD_SPANTRACE_DISABLED
         if (!spdetail::on)
             return;
         SpanTracer &t = SpanTracer::instance();
         gen_ = t.generation();
         node_ = t.pushGroup(name);
-#else
-        (void)name;
-#endif
     }
 
     ~SpanGroup()
     {
-#ifndef AOSD_SPANTRACE_DISABLED
         if (node_)
             SpanTracer::instance().popGroup(node_, gen_);
-#endif
     }
 
     SpanGroup(const SpanGroup &) = delete;
@@ -294,13 +276,8 @@ class SpanPause
 inline void
 spanLeaf(const char *name, Cycles cycles)
 {
-#ifndef AOSD_SPANTRACE_DISABLED
     if (spdetail::on)
         SpanTracer::instance().leaf(name, cycles);
-#else
-    (void)name;
-    (void)cycles;
-#endif
 }
 
 } // namespace aosd

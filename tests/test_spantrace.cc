@@ -1,8 +1,7 @@
 /**
  * @file
  * Request-scoped span tracing: hook gating (off by default, on only
- * inside an armed request, compiled out under
- * -DAOSD_DISABLE_SPANTRACE), tree building and capacity-drop
+ * inside an armed request), tree building and capacity-drop
  * semantics, shard-session merge laws, spans.json determinism across
  * --jobs, exemplar ordering, the tail-attribution >= 80% acceptance
  * gate on every Table 1 machine x primitive pair, and the spans
@@ -59,7 +58,6 @@ TEST_F(SpantraceTest, OffByDefaultAndOutsideRequests)
     EXPECT_TRUE(session.hists.empty());
     EXPECT_TRUE(session.requests.empty());
 
-#ifndef AOSD_SPANTRACE_DISABLED
     // Armed but no request open: still dormant (the arming alone must
     // not tax simulator code that runs outside any request).
     SpanTracer::instance().enable(4);
@@ -68,10 +66,7 @@ TEST_F(SpantraceTest, OffByDefaultAndOutsideRequests)
     spanLeaf("noise", 42);
     session = SpanTracer::instance().take();
     EXPECT_TRUE(session.requests.empty());
-#endif
 }
-
-#ifndef AOSD_SPANTRACE_DISABLED
 
 TEST_F(SpantraceTest, BuildsTheLiteralInvocationTree)
 {
@@ -229,23 +224,6 @@ TEST_F(SpantraceTest, PauseSuppressesNestedHooks)
     EXPECT_EQ(session.requests[0].root.children[0].name, "kept");
 }
 
-#else // AOSD_SPANTRACE_DISABLED
-
-TEST_F(SpantraceTest, CompiledOutRequestsRecordNothing)
-{
-    SpanTracer &t = SpanTracer::instance();
-    t.enable(8);
-    t.beginRequest("req", 0, 0);
-    EXPECT_FALSE(spantraceEnabled());
-    spanLeaf("noise", 42);
-    t.endRequest(100);
-    SpanSession session = t.take();
-    EXPECT_TRUE(session.requests.empty());
-    EXPECT_TRUE(session.hists.empty());
-}
-
-#endif // AOSD_SPANTRACE_DISABLED
-
 /** Small study configuration so the doc tests stay fast. */
 SpanOptions
 smallOptions()
@@ -305,8 +283,6 @@ TEST_F(SpantraceTest, SpansDocSchema)
     EXPECT_EQ(doc.at("ipc").size(), table1Machines().size());
 }
 
-#ifndef AOSD_SPANTRACE_DISABLED
-
 TEST_F(SpantraceTest, ExemplarsAreSlowestFirstWithStableTieBreak)
 {
     ParallelRunner runner(4);
@@ -320,9 +296,10 @@ TEST_F(SpantraceTest, ExemplarsAreSlowestFirstWithStableTieBreak)
                     ex.at(i - 1).at("cycles").asUint();
                 std::uint64_t cur = ex.at(i).at("cycles").asUint();
                 EXPECT_GE(prev, cur) << mslug << "." << pslug;
-                if (prev == cur)
+                if (prev == cur) {
                     EXPECT_LT(ex.at(i - 1).at("id").asUint(),
                               ex.at(i).at("id").asUint());
+                }
             }
             // The exemplar tree carries the request's counters.
             EXPECT_TRUE(ex.at(0).at("spans").has("counters"));
@@ -374,8 +351,6 @@ TEST_F(SpantraceTest, IpcModelsTraceTheirComponentBreakdowns)
     }
 }
 
-#endif // AOSD_SPANTRACE_DISABLED
-
 TEST_F(SpantraceTest, SpansDocRoundTripsThroughThePerfDb)
 {
     ParallelRunner runner(4);
@@ -394,17 +369,13 @@ TEST_F(SpantraceTest, SpansDocRoundTripsThroughThePerfDb)
         EXPECT_EQ(leaf.path.find("requests_per_pair"),
                   std::string::npos)
             << leaf.path;
-#ifndef AOSD_SPANTRACE_DISABLED
         if (leaf.path == "spans.machines.R3000.null_syscall."
                          "cycles.p99") {
             saw_percentile = true;
             EXPECT_GT(leaf.value, 0.0);
         }
-#endif
     }
-#ifndef AOSD_SPANTRACE_DISABLED
     EXPECT_TRUE(saw_percentile);
-#endif
 
     // Identical runs band cleanly through the trend checker (three
     // records: the band needs two baseline points).
@@ -416,9 +387,7 @@ TEST_F(SpantraceTest, SpansDocRoundTripsThroughThePerfDb)
         db.append(buildPerfDbRecord("c3", "t3", "h", "f", in)));
     TrendCheckResult check = checkTrends(db, 0.05, 20, "spans.");
     EXPECT_TRUE(check.ok());
-#ifndef AOSD_SPANTRACE_DISABLED
     EXPECT_GT(check.metricsChecked, 0u);
-#endif
 }
 
 } // namespace

@@ -40,6 +40,7 @@
 #include <string>
 
 #include "sim/json.hh"
+#include "sim/numeric_flags.hh"
 #include "sim/perfdb/perfdb.hh"
 #include "study/bisect.hh"
 
@@ -121,7 +122,9 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--top") {
-            top = static_cast<std::size_t>(std::atoi(value()));
+            std::string v = value();
+            if (!parseCount(v, top))
+                return badFlag(argv[0], arg, v, "a whole number");
         } else if (arg == "--json") {
             json_path = value();
         } else if (arg == "--db") {

@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "arch/machines.hh"
+#include "sim/numeric_flags.hh"
 #include "sim/parallel/parallel_runner.hh"
 #include "study/counters_report.hh"
 
@@ -57,9 +58,9 @@ usage(const char *argv0)
         "  --machines list     comma-separated machine slugs\n"
         "                      (default: the five Table 1 machines)\n"
         "  --min-explained P   fail below P%% explained (default 95)\n"
-        "  --jobs N            worker threads (default: all cores;\n"
-        "                      1 = serial; output is identical either "
-        "way)\n"
+        "  --jobs N            worker threads, at most 1024 (default:\n"
+        "                      all cores; 1 = serial; output is\n"
+        "                      identical either way)\n"
         "  --kernel-windows    reconcile Table 7 workload windows\n"
         "                      (one machine; default R3000)\n",
         argv0);
@@ -102,17 +103,19 @@ main(int argc, char **argv)
         if (arg == "--json") {
             json_path = value();
         } else if (arg == "--reps") {
-            reps = static_cast<unsigned>(std::atoi(value()));
-            if (reps == 0)
-                reps = 1;
+            std::string v = value();
+            if (!parseReps(v, reps))
+                return badFlag(argv[0], arg, v, repsWant);
         } else if (arg == "--min-explained") {
-            min_explained = std::atof(value());
+            std::string v = value();
+            if (!parseNumber(v, min_explained))
+                return badFlag(argv[0], arg, v, "a number");
         } else if (arg == "--kernel-windows") {
             kernel_windows = true;
         } else if (arg == "--jobs") {
-            jobs = static_cast<unsigned>(std::atoi(value()));
-            if (jobs == 0)
-                jobs = ParallelRunner::defaultJobs();
+            std::string v = value();
+            if (!parseJobs(v, jobs))
+                return badFlag(argv[0], arg, v, jobsWant);
         } else if (arg == "--machines") {
             std::string list = value();
             std::size_t pos = 0;

@@ -20,12 +20,12 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "sim/numeric_flags.hh"
 #include "sim/parallel/parallel_runner.hh"
 #include "sim/perfdb/perfdb.hh"
 #include "study/dashboard/dashboard.hh"
@@ -56,10 +56,10 @@ usage(const char *argv0)
         "  --db path              perfdb.jsonl (aosd_trend ingest)\n"
         "options:\n"
         "  --out DIR              output directory (required)\n"
-        "  --jobs N               worker threads (default: all "
-        "cores;\n"
-        "                         1 = serial; output is identical "
-        "either way)\n"
+        "  --jobs N               worker threads, at most 1024 "
+        "(default:\n"
+        "                         all cores; 1 = serial; output is\n"
+        "                         identical either way)\n"
         "  --tol F                history rolling-band relative\n"
         "                         tolerance (default 0.05)\n"
         "  --baseline N           history rolling-band window\n"
@@ -151,28 +151,28 @@ main(int argc, char **argv)
         } else if (arg == "--jobs") {
             if (!takesValue(v))
                 return 2;
-            jobs = static_cast<unsigned>(std::atoi(v.c_str()));
-            if (jobs == 0)
-                jobs = ParallelRunner::defaultJobs();
+            if (!parseJobs(v, jobs))
+                return badFlag(argv[0], arg, v, jobsWant);
         } else if (arg == "--tol") {
             if (!takesValue(v))
                 return 2;
-            opts.relTol = std::atof(v.c_str());
+            if (!parseNumber(v, opts.relTol) || opts.relTol < 0)
+                return badFlag(argv[0], arg, v, "a number >= 0");
         } else if (arg == "--baseline") {
             if (!takesValue(v))
                 return 2;
-            opts.baselineWindow =
-                static_cast<std::size_t>(std::atol(v.c_str()));
+            if (!parseCount(v, opts.baselineWindow))
+                return badFlag(argv[0], arg, v, "a whole number");
         } else if (arg == "--last") {
             if (!takesValue(v))
                 return 2;
-            opts.historyLast =
-                static_cast<std::size_t>(std::atol(v.c_str()));
+            if (!parseCount(v, opts.historyLast))
+                return badFlag(argv[0], arg, v, "a whole number");
         } else if (arg == "--metrics-cap") {
             if (!takesValue(v))
                 return 2;
-            opts.historyCap =
-                static_cast<std::size_t>(std::atol(v.c_str()));
+            if (!parseCount(v, opts.historyCap))
+                return badFlag(argv[0], arg, v, "a whole number");
         } else if (arg == "--filter") {
             if (!takesValue(opts.historyFilter))
                 return 2;

@@ -36,6 +36,7 @@
 #include <string>
 
 #include "sim/json.hh"
+#include "sim/numeric_flags.hh"
 #include "study/perfdiff.hh"
 
 using namespace aosd;
@@ -105,9 +106,13 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--tol") {
-            rel_tol = std::atof(value());
+            std::string v = value();
+            if (!parseNumber(v, rel_tol) || rel_tol < 0)
+                return badFlag(argv[0], arg, v, "a number >= 0");
         } else if (arg == "--abs") {
-            abs_tol = std::atof(value());
+            std::string v = value();
+            if (!parseNumber(v, abs_tol) || abs_tol < 0)
+                return badFlag(argv[0], arg, v, "a number >= 0");
         } else if (arg == "--tol-key") {
             std::string spec = value();
             std::size_t eq = spec.find('=');
@@ -118,12 +123,17 @@ main(int argc, char **argv)
                              spec.c_str());
                 return 2;
             }
-            key_tols.emplace_back(spec.substr(0, eq),
-                                  std::atof(spec.c_str() + eq + 1));
+            double tol = 0;
+            if (!parseNumber(spec.substr(eq + 1), tol) || tol < 0)
+                return badFlag(argv[0], arg, spec,
+                               "KEY=REL with REL a number >= 0");
+            key_tols.emplace_back(spec.substr(0, eq), tol);
         } else if (arg == "--all") {
             show_all = true;
         } else if (arg == "--top") {
-            top = static_cast<std::size_t>(std::atoi(value()));
+            std::string v = value();
+            if (!parseCount(v, top))
+                return badFlag(argv[0], arg, v, "a whole number");
         } else if (arg == "--help" || arg == "-h") {
             usage(argv[0]);
             return 0;

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "arch/machines.hh"
+#include "sim/numeric_flags.hh"
 #include "sim/parallel/parallel_runner.hh"
 #include "study/profile_report.hh"
 
@@ -45,9 +46,9 @@ usage(const char *argv0)
         "  --reps N         repetitions per primitive (default 16)\n"
         "  --machines list  comma-separated machine slugs\n"
         "                   (default: the five Table 1 machines)\n"
-        "  --jobs N         worker threads (default: all cores;\n"
-        "                   1 = serial; output is identical either "
-        "way)\n",
+        "  --jobs N         worker threads, at most 1024 (default: all\n"
+        "                   cores; 1 = serial; output is identical\n"
+        "                   either way)\n",
         argv0);
 }
 
@@ -114,13 +115,13 @@ main(int argc, char **argv)
         } else if (arg == "--folded") {
             folded_path = value();
         } else if (arg == "--reps") {
-            reps = static_cast<unsigned>(std::atoi(value()));
-            if (reps == 0)
-                reps = 1;
+            std::string v = value();
+            if (!parseReps(v, reps))
+                return badFlag(argv[0], arg, v, repsWant);
         } else if (arg == "--jobs") {
-            jobs = static_cast<unsigned>(std::atoi(value()));
-            if (jobs == 0)
-                jobs = ParallelRunner::defaultJobs();
+            std::string v = value();
+            if (!parseJobs(v, jobs))
+                return badFlag(argv[0], arg, v, jobsWant);
         } else if (arg == "--machines") {
             std::string list = value();
             std::size_t pos = 0;

@@ -31,12 +31,12 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
 
 #include "sim/logging.hh"
+#include "sim/numeric_flags.hh"
 #include "sim/parallel/parallel_runner.hh"
 #include "sim/stats.hh"
 #include "sim/table.hh"
@@ -68,9 +68,9 @@ usage(const char *argv0)
         "  --spans path   span-trace the request study and write\n"
         "                 spans.json (latency percentiles, slowest-\n"
         "                 request exemplars, tail attribution)\n"
-        "  --jobs N       worker threads (default: all cores;\n"
-        "                 1 = serial; report is identical either "
-        "way)\n",
+        "  --jobs N       worker threads, at most 1024 (default: all\n"
+        "                 cores; 1 = serial; report is identical either\n"
+        "                 way)\n",
         argv0);
 }
 
@@ -166,9 +166,8 @@ main(int argc, char **argv)
             std::string jobs_arg;
             if (!takesValue(jobs_arg))
                 return 2;
-            jobs = static_cast<unsigned>(std::atoi(jobs_arg.c_str()));
-            if (jobs == 0)
-                jobs = ParallelRunner::defaultJobs();
+            if (!parseJobs(jobs_arg, jobs))
+                return badFlag(argv[0], arg, jobs_arg, jobsWant);
         } else if (arg == "--help" || arg == "-h") {
             usage(argv[0]);
             return 0;

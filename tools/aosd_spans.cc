@@ -19,10 +19,10 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 
+#include "sim/numeric_flags.hh"
 #include "sim/parallel/parallel_runner.hh"
 #include "study/span_report.hh"
 
@@ -41,9 +41,9 @@ usage(const char *argv0)
         "  --json [path]   write spans.json (stdout when no path)\n"
         "  --perfetto path write a chrome://tracing export of the\n"
         "                  exemplar span trees\n"
-        "  --jobs N        worker threads (default: all cores;\n"
-        "                  1 = serial; output is identical either "
-        "way)\n"
+        "  --jobs N        worker threads, at most 1024 (default: all\n"
+        "                  cores; 1 = serial; output is identical\n"
+        "                  either way)\n"
         "  --requests N    span-traced requests per (machine,\n"
         "                  primitive) cell (default 1000)\n"
         "  --top K         slowest-request exemplars per cell\n"
@@ -100,29 +100,21 @@ main(int argc, char **argv)
             std::string v;
             if (!takesValue(v))
                 return 2;
-            jobs = static_cast<unsigned>(std::atoi(v.c_str()));
-            if (jobs == 0)
-                jobs = ParallelRunner::defaultJobs();
+            if (!parseJobs(v, jobs))
+                return badFlag(argv[0], arg, v, jobsWant);
         } else if (arg == "--requests") {
             std::string v;
             if (!takesValue(v))
                 return 2;
-            long n = std::atol(v.c_str());
-            if (n <= 0) {
-                usage(argv[0]);
-                return 2;
-            }
-            opts.requestsPerPair = static_cast<std::size_t>(n);
+            if (!parseCount(v, opts.requestsPerPair) ||
+                opts.requestsPerPair == 0)
+                return badFlag(argv[0], arg, v, "a whole number >= 1");
         } else if (arg == "--top") {
             std::string v;
             if (!takesValue(v))
                 return 2;
-            long k = std::atol(v.c_str());
-            if (k < 0) {
-                usage(argv[0]);
-                return 2;
-            }
-            opts.topK = static_cast<std::size_t>(k);
+            if (!parseCount(v, opts.topK))
+                return badFlag(argv[0], arg, v, "a whole number");
         } else if (arg == "--machines") {
             std::string list;
             if (!takesValue(list))

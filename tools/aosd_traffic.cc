@@ -32,17 +32,13 @@
  */
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "arch/machines.hh"
+#include "sim/numeric_flags.hh"
 #include "sim/parallel/parallel_runner.hh"
 #include "sim/table.hh"
 #include "workload/traffic.hh"
@@ -51,9 +47,6 @@ using namespace aosd;
 
 namespace
 {
-
-/** Most worker threads --jobs may ask for. */
-constexpr std::uint64_t maxJobs = 1024;
 
 void
 usage(const char *argv0)
@@ -100,36 +93,6 @@ writeFile(const std::string &path, const std::string &content)
         return false;
     }
     out << content;
-    return true;
-}
-
-/** The whole of `s` as an unsigned integer (decimal, 0x hex or 0
- *  octal); false on a sign, junk or overflow. */
-bool
-parseUint(const std::string &s, std::uint64_t &out)
-{
-    if (s.empty() || !std::isdigit(static_cast<unsigned char>(s[0])))
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(s.c_str(), &end, 0);
-    if (errno == ERANGE || end != s.c_str() + s.size())
-        return false;
-    out = v;
-    return true;
-}
-
-/** The whole of `s` as a finite number; false on junk, inf or nan. */
-bool
-parseNumber(const std::string &s, double &out)
-{
-    if (s.empty() || std::isspace(static_cast<unsigned char>(s[0])))
-        return false;
-    char *end = nullptr;
-    double v = std::strtod(s.c_str(), &end);
-    if (end != s.c_str() + s.size() || !std::isfinite(v))
-        return false;
-    out = v;
     return true;
 }
 
@@ -231,9 +194,7 @@ main(int argc, char **argv)
         };
         std::string val;
         auto bad = [&](const char *want) {
-            std::fprintf(stderr, "%s: %s wants %s, got '%s'\n", argv[0],
-                         arg.c_str(), want, val.c_str());
-            return 2;
+            return badFlag(argv[0], arg, val, want);
         };
         std::uint64_t u = 0;
         if (arg == "--json") {
@@ -309,10 +270,8 @@ main(int argc, char **argv)
         } else if (arg == "--jobs") {
             if (!takesValue(val))
                 return 2;
-            if (!parseUint(val, u) || u > maxJobs)
-                return bad("a whole number from 0 to 1024");
-            jobs = u == 0 ? ParallelRunner::defaultJobs()
-                          : static_cast<unsigned>(u);
+            if (!parseJobs(val, jobs))
+                return bad(jobsWant);
         } else if (arg == "--help" || arg == "-h") {
             usage(argv[0]);
             return 0;

@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "sim/json.hh"
+#include "sim/numeric_flags.hh"
 #include "sim/perfdb/perfdb.hh"
 #include "study/trend_report.hh"
 
@@ -110,16 +111,13 @@ writeFile(const std::string &path, const std::string &content)
 bool
 parseTolerance(const std::string &arg, double &out)
 {
-    char *end = nullptr;
-    double v = std::strtod(arg.c_str(), &end);
-    if (end == arg.c_str() || v < 0)
+    bool percent = !arg.empty() && arg.back() == '%';
+    double v = 0;
+    if (!parseNumber(percent ? arg.substr(0, arg.size() - 1) : arg, v) ||
+        v < 0)
         return false;
-    if (*end == '%') {
-        out = v / 100.0;
-        return *(end + 1) == '\0';
-    }
-    out = v;
-    return *end == '\0';
+    out = percent ? v / 100.0 : v;
+    return true;
 }
 
 struct Args
@@ -508,22 +506,21 @@ main(int argc, char **argv)
             if (i + 1 < argc && argv[i + 1][0] != '-')
                 a.jsonPath = argv[++i];
         } else if (arg == "--tol") {
-            if (!parseTolerance(value(), a.tol)) {
-                std::fprintf(stderr,
-                             "--tol wants e.g. 5%% or 0.05\n");
-                return 2;
-            }
+            std::string v = value();
+            if (!parseTolerance(v, a.tol))
+                return badFlag(argv[0], arg, v, "e.g. 5% or 0.05");
         } else if (arg == "--last") {
-            a.last = static_cast<std::size_t>(std::atoi(value()));
+            std::string v = value();
+            if (!parseCount(v, a.last))
+                return badFlag(argv[0], arg, v, "a whole number");
         } else if (arg == "--baseline") {
-            a.baseline =
-                static_cast<std::size_t>(std::atoi(value()));
-            if (a.baseline == 0) {
-                std::fprintf(stderr, "--baseline must be >= 1\n");
-                return 2;
-            }
+            std::string v = value();
+            if (!parseCount(v, a.baseline) || a.baseline == 0)
+                return badFlag(argv[0], arg, v, "a whole number >= 1");
         } else if (arg == "--top") {
-            a.top = static_cast<std::size_t>(std::atoi(value()));
+            std::string v = value();
+            if (!parseCount(v, a.top))
+                return badFlag(argv[0], arg, v, "a whole number");
         } else if (arg == "--help" || arg == "-h") {
             usage(argv[0]);
             return 0;
