@@ -51,9 +51,8 @@ struct TlbLookup
     /** Cycles the lookup cost (0 on a hit; refill cost on a miss —
      *  charged by the caller once the refill source is known). */
     Cycles missCycles = 0;
-    /** Index cell the failed probe ended on: pass to refill() to skip
-     *  its insert probe. Meaningful only on a miss, and only until
-     *  the next TLB mutation. */
+    /** Index bucket the missing key hashed to: pass to refill() for
+     *  the same key to skip its hash. Meaningful only on a miss. */
     std::uint32_t fillCell = ~0u;
 };
 
@@ -63,13 +62,16 @@ struct TlbLookup
  * single implicit context and switchContext() purges.
  *
  * Every operation is O(1) in the entry count (the workload engine
- * performs millions of lookups per Table 7 cell): a hash index maps
- * (vpn, asid) to its slot, an intrusive recency list replaces the
- * lastUse scan, and a free-slot bitmap finds the lowest invalid slot.
- * Replacement decisions are identical to the reference linear scan:
- * the victim is the first invalid entry in slot order, else the least
- * recently used unlocked entry (lastUse values are unique, so LRU
- * order is total).
+ * performs millions of lookups per Table 7 cell). A chained hash
+ * index maps (vpn, tag) to its slot: `buckets` holds at least four
+ * chain heads per entry and each valid entry links to the next entry
+ * of its bucket, so erasing a key unlinks one link. An intrusive
+ * recency list orders the valid entries, and a stack holds the
+ * invalid slots. Replacement matches a linear scan over entries
+ * stamped with their last use: the victim is an invalid entry, else
+ * the least recently used unlocked entry. Which invalid slot a new
+ * key takes is not observable (filling it evicts nothing), so the
+ * stack need not hand out the scan's first invalid slot.
  */
 class Tlb
 {
@@ -79,7 +81,8 @@ class Tlb
     /** Probe for (vpn, asid); updates recency on hit.
      *  @param kernel_space  the reference is to mapped kernel space
      *  (selects the software-refill cost on sw-managed TLBs). */
-    TlbLookup lookup(Vpn vpn, Asid asid, bool kernel_space = false);
+    [[gnu::always_inline]] TlbLookup lookup(Vpn vpn, Asid asid,
+                                            bool kernel_space = false);
 
     /** Insert or replace a translation. */
     void insert(Vpn vpn, Asid asid, Pfn pfn, PageProt prot,
@@ -91,12 +94,9 @@ class Tlb
      *  locked=false for a non-present key; calling it for a key that
      *  IS present corrupts the index.
      *
-     *  `fill_cell`, when not ~0u, must be the missing lookup's
-     *  TlbLookup::fillCell with no TLB mutation in between: the empty
-     *  index cell the failed probe ended on. The key is placed there
-     *  directly — cell occupancy only grows until the victim's key is
-     *  erased afterwards, so every existing key stays reachable —
-     *  skipping the insert probe's hash and cluster walk. */
+     *  `fill_cell`, when not ~0u, must be the TlbLookup::fillCell of
+     *  a failed lookup of the same key: the bucket the key hashes to,
+     *  which saves recomputing the hash. */
     void refill(Vpn vpn, Asid asid, Pfn pfn, PageProt prot,
                 std::uint32_t fill_cell = ~0u);
 
@@ -122,119 +122,76 @@ class Tlb
     const TlbDesc &config() const { return desc; }
 
   private:
-    struct Entry
-    {
-        bool valid = false;
-        bool locked = false;
-        Vpn vpn = 0;
-        Asid asid = 0;
-        Pfn pfn = 0;
-        PageProt prot;
-        std::uint64_t lastUse = 0;
-    };
-
     static constexpr std::uint32_t npos = ~0u;
 
-    /** Hash-index key. Untagged TLBs store asid 0 and match any
-     *  caller asid, so their key is the vpn alone. */
-    struct SlotKey
-    {
-        Vpn vpn;
-        Asid asid;
-        bool operator==(const SlotKey &) const = default;
-    };
-
-    static std::uint32_t
-    hashKey(SlotKey k)
-    {
-        std::uint64_t h = k.vpn * 0x9E3779B97F4A7C15ull + k.asid;
-        h ^= h >> 29;
-        h *= 0xBF58476D1CE4E5B9ull;
-        h ^= h >> 32;
-        return static_cast<std::uint32_t>(h);
-    }
-
-    SlotKey
-    keyFor(Vpn vpn, Asid asid) const
-    {
-        return {vpn, desc.processIdTags ? asid : 0};
-    }
-
-    /** One cell of the open-addressed (linear-probe) index. Load
-     *  factor stays at or below 25% — the table has at least four
-     *  cells per TLB entry and at most one live key per valid entry —
-     *  so probes are short and no rehash is ever needed. */
-    struct IndexCell
+    struct Entry
     {
         Vpn vpn = 0;
+        Pfn pfn = 0;
+        /** Index tag: the asid on tagged TLBs; 0 on untagged ones,
+         *  whose entries match any caller asid. */
         Asid asid = 0;
-        std::uint32_t slot = npos; ///< npos marks an empty cell
+        PageProt prot;
+        bool valid = false;
+        bool locked = false;
+        std::uint32_t chain = npos; ///< next entry in the bucket
+        std::uint32_t lruPrev = npos;
+        std::uint32_t lruNext = npos;
     };
 
-    std::uint32_t probeFind(SlotKey k) const;
-    void probeInsert(SlotKey k, std::uint32_t slot);
-    void probeErase(SlotKey k);
+    Asid tagFor(Asid asid) const { return desc.processIdTags ? asid : 0; }
+
+    /** Multiply-shift hash of (vpn, tag) onto the bucket array. */
+    std::uint32_t
+    bucketOf(Vpn vpn, Asid tag) const
+    {
+        return static_cast<std::uint32_t>(
+            ((vpn ^ (std::uint64_t{tag} << 40)) * 0x9E3779B97F4A7C15ull) >>
+            bucketShift);
+    }
 
     /** Out-of-line miss bookkeeping (counters, tracer, cost
-     *  selection); the inline lookup() keeps only the hit path hot.
-     *  `empty_cell` is the index cell the failed probe ended on,
-     *  passed through as TlbLookup::fillCell. */
-    TlbLookup lookupMiss(std::uint32_t empty_cell, bool kernel_space);
+     *  selection); the inline lookup() keeps only the hit path hot. */
+    TlbLookup lookupMiss(std::uint32_t bucket, bool kernel_space);
 
-    std::uint32_t findSlot(Vpn vpn, Asid asid);
-    std::uint32_t victimSlot();
+    std::uint32_t findSlot(Vpn vpn, Asid tag, std::uint32_t bucket) const;
+
+    /** Take the victim's slot for a new key in `bucket`: evict what it
+     *  held, link it into the bucket and make it most recent. */
+    std::uint32_t claim(std::uint32_t bucket);
+    void fill(std::uint32_t slot, Vpn vpn, Asid tag, Pfn pfn,
+              PageProt prot, bool locked);
+    void unchain(std::uint32_t slot);
 
     // Intrusive recency list over valid slots, most recent at head.
     void lruPushHead(std::uint32_t slot);
     void lruUnlink(std::uint32_t slot);
     void lruTouch(std::uint32_t slot);
 
-    void markFree(std::uint32_t slot);
-    void markUsed(std::uint32_t slot);
-    std::uint32_t lowestFreeSlot() const;
-
     void dropEntry(std::uint32_t slot);
 
     TlbDesc desc;
     std::vector<Entry> entries;
-    std::uint64_t useClock = 0;
-    std::vector<IndexCell> table;
-    std::uint32_t tableMask = 0;
-    std::vector<std::uint32_t> lruPrev;
-    std::vector<std::uint32_t> lruNext;
+    std::vector<std::uint32_t> buckets; ///< chain heads; npos = empty
+    unsigned bucketShift = 0;
     std::uint32_t lruHead = npos;
     std::uint32_t lruTail = npos;
-    /** Bitmap of invalid (free) slots; lowest set bit = the reference
-     *  scan's "first invalid entry in slot order". */
-    std::vector<std::uint64_t> freeWords;
-    std::uint32_t freeCount = 0;
+    std::vector<std::uint32_t> freeSlots; ///< the invalid slots
 };
 
 // The lookup hit path is the single hottest loop in the workload
 // engine (tens of millions of calls per Table 7 cell), so it and the
-// helpers it touches live in the header where callers can inline
-// them; everything rarer (miss bookkeeping, insert, invalidation)
-// stays out of line in tlb.cc.
-
-inline std::uint32_t
-Tlb::probeFind(SlotKey k) const
-{
-    std::uint32_t i = hashKey(k) & tableMask;
-    while (table[i].slot != npos) {
-        if (table[i].vpn == k.vpn && table[i].asid == k.asid)
-            return i;
-        i = (i + 1) & tableMask;
-    }
-    return npos;
-}
+// helpers it touches live in the header and are forced inline at
+// every call site; everything rarer (miss bookkeeping, insert,
+// invalidation) stays out of line in tlb.cc.
 
 inline void
 Tlb::lruPushHead(std::uint32_t slot)
 {
-    lruPrev[slot] = npos;
-    lruNext[slot] = lruHead;
+    entries[slot].lruPrev = npos;
+    entries[slot].lruNext = lruHead;
     if (lruHead != npos)
-        lruPrev[lruHead] = slot;
+        entries[lruHead].lruPrev = slot;
     lruHead = slot;
     if (lruTail == npos)
         lruTail = slot;
@@ -243,17 +200,10 @@ Tlb::lruPushHead(std::uint32_t slot)
 inline void
 Tlb::lruUnlink(std::uint32_t slot)
 {
-    std::uint32_t p = lruPrev[slot];
-    std::uint32_t n = lruNext[slot];
-    if (p != npos)
-        lruNext[p] = n;
-    else
-        lruHead = n;
-    if (n != npos)
-        lruPrev[n] = p;
-    else
-        lruTail = p;
-    lruPrev[slot] = lruNext[slot] = npos;
+    const std::uint32_t p = entries[slot].lruPrev;
+    const std::uint32_t n = entries[slot].lruNext;
+    (p != npos ? entries[p].lruNext : lruHead) = n;
+    (n != npos ? entries[n].lruPrev : lruTail) = p;
 }
 
 inline void
@@ -265,26 +215,26 @@ Tlb::lruTouch(std::uint32_t slot)
     }
 }
 
+inline std::uint32_t
+Tlb::findSlot(Vpn vpn, Asid tag, std::uint32_t bucket) const
+{
+    std::uint32_t s = buckets[bucket];
+    while (s != npos && (entries[s].vpn != vpn || entries[s].asid != tag))
+        s = entries[s].chain;
+    return s;
+}
+
 inline TlbLookup
 Tlb::lookup(Vpn vpn, Asid asid, bool kernel_space)
 {
-    SlotKey k = keyFor(vpn, asid);
-    std::uint32_t i = hashKey(k) & tableMask;
-    while (table[i].slot != npos) {
-        if (table[i].vpn == k.vpn && table[i].asid == k.asid)
-            [[likely]] {
-            std::uint32_t slot = table[i].slot;
-            Entry &e = entries[slot];
-            e.lastUse = ++useClock;
-            lruTouch(slot);
-            countEvent(HwCounter::TlbHits);
-            return {true, e.pfn, e.prot, 0};
-        }
-        i = (i + 1) & tableMask;
-    }
-    // i is the empty cell the probe ended on: a subsequent refill()
-    // may place the key there (TlbLookup::fillCell).
-    return lookupMiss(i, kernel_space);
+    const Asid tag = tagFor(asid);
+    const std::uint32_t b = bucketOf(vpn, tag);
+    const std::uint32_t s = findSlot(vpn, tag, b);
+    if (s == npos)
+        return lookupMiss(b, kernel_space);
+    lruTouch(s);
+    countEvent(HwCounter::TlbHits);
+    return {true, entries[s].pfn, entries[s].prot, 0};
 }
 
 } // namespace aosd

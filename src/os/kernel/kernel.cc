@@ -511,6 +511,7 @@ SimKernel::touchPages(const std::vector<Vpn> &pages, bool kernel_space)
     ProfScope prof("tlb_refill");
     const Cycles span_start = cycleCount;
     const bool tracing = tracerEnabled();
+    const bool profiling = profilerEnabled();
     if (tracing)
         Tracer::instance().setCycle(cycleCount);
     const Asid asid = space.asid();
@@ -523,7 +524,7 @@ SimKernel::touchPages(const std::vector<Vpn> &pages, bool kernel_space)
             const Cycles mc = r.missCycles;
             cycleCount += mc;
             primCycles += mc;
-            if (profilerEnabled())
+            if (profiling)
                 Profiler::instance().addLeafCycles(miss_leaf, mc);
             if (tracing)
                 Tracer::instance().setCycle(cycleCount);
@@ -548,7 +549,7 @@ SimKernel::touchPages(const std::vector<Vpn> &pages, bool kernel_space)
                     const Cycles kc = k.missCycles;
                     cycleCount += kc;
                     primCycles += kc;
-                    if (profilerEnabled())
+                    if (profiling)
                         Profiler::instance().addLeafCycles(
                             "miss_page_table", kc);
                     if (tracing)

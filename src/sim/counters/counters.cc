@@ -7,8 +7,8 @@ namespace aosd
 
 namespace ctrdetail
 {
-thread_local bool on = false;
-thread_local std::array<std::uint64_t, numHwCounters> vals{};
+constinit thread_local bool on = false;
+constinit thread_local std::array<std::uint64_t, numHwCounters> vals{};
 } // namespace ctrdetail
 
 const char *

@@ -139,9 +139,12 @@ namespace ctrdetail
  *  scope (not behind an instance() call) so the disabled fast path in
  *  the execution model's per-op loop is one non-atomic load and a
  *  branch, and thread-local so every simulation slice counts into its
- *  own file without atomics. */
-extern thread_local bool on;
-extern thread_local std::array<std::uint64_t, numHwCounters> vals;
+ *  own file without atomics. `constinit` (here and on the profiler,
+ *  tracer, span-tracer and sampler flags) tells every includer that
+ *  no dynamic TLS initializer exists, so a check reads the slot
+ *  directly instead of first calling a TLS wrapper function. */
+extern constinit thread_local bool on;
+extern constinit thread_local std::array<std::uint64_t, numHwCounters> vals;
 } // namespace ctrdetail
 
 /** Cheapest possible "are counters on?" check for hot paths. */

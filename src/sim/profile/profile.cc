@@ -5,7 +5,7 @@ namespace aosd
 
 namespace profdetail
 {
-thread_local bool on = false;
+constinit thread_local bool on = false;
 } // namespace profdetail
 
 ProfNode *

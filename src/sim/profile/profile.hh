@@ -47,7 +47,7 @@ namespace profdetail
  *  simulator's hot loops is one non-atomic load and a branch — no
  *  function-local-static guard — and thread-local so each simulation
  *  slice profiles independently. */
-extern thread_local bool on;
+extern constinit thread_local bool on;
 } // namespace profdetail
 
 /** Cheapest possible "is profiling on?" check for hot paths. */

@@ -7,7 +7,7 @@ namespace aosd
 
 namespace smpdetail
 {
-thread_local bool on = false;
+constinit thread_local bool on = false;
 } // namespace smpdetail
 
 CounterSampler &

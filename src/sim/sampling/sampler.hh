@@ -46,7 +46,7 @@ namespace smpdetail
  *  disabled fast path in the workload drivers' per-iteration loops is
  *  one load and a branch, and each simulation slice samples
  *  independently. */
-extern thread_local bool on;
+extern constinit thread_local bool on;
 } // namespace smpdetail
 
 /** Cheapest possible "is sampling on?" check for hot paths. */

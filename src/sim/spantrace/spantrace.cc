@@ -5,7 +5,7 @@ namespace aosd
 
 namespace spdetail
 {
-thread_local bool on = false;
+constinit thread_local bool on = false;
 } // namespace spdetail
 
 Json

@@ -49,7 +49,7 @@ namespace spdetail
  *  simulator's hot loops is one non-atomic load and a branch. True
  *  only between beginRequest() and endRequest() of an armed session,
  *  so hooks outside any request cost the same as a disabled build. */
-extern thread_local bool on;
+extern constinit thread_local bool on;
 } // namespace spdetail
 
 /** Cheapest possible "is a traced request open?" check for hot

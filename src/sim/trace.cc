@@ -7,7 +7,7 @@ namespace aosd
 
 namespace trcdetail
 {
-thread_local bool on = false;
+constinit thread_local bool on = false;
 } // namespace trcdetail
 
 const char *

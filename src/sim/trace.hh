@@ -75,7 +75,7 @@ namespace trcdetail
  *  execution model's per-op loop is one predictable branch with no
  *  function-local-static guard, and so each simulation slice traces
  *  independently. */
-extern thread_local bool on;
+extern constinit thread_local bool on;
 } // namespace trcdetail
 
 /** Cheapest possible "is tracing on?" check for hot paths. Guards the

@@ -11,6 +11,7 @@
 #include "counting_scope.hh"
 #include "mem/cache.hh"
 #include "os/kernel/kernel.hh"
+#include "sim/profile/profile.hh"
 
 namespace aosd
 {
@@ -293,6 +294,126 @@ TEST(SimKernel, FlushChargesMatchReferenceCache)
             EXPECT_EQ(r.arg, exp_page);
         for (const TraceRecord &r : alls)
             EXPECT_EQ(r.arg, exp_switch);
+    }
+}
+
+TEST(SimKernel, TracedTouchPagesEmitsEveryMissAndFill)
+{
+    // A working set four pages larger than the TLB, touched twice in
+    // one call. The first user miss also misses on the space's page-
+    // table page (s5); every later user miss hits it, which keeps it
+    // most recently used, so the user pages cycle through entries-1
+    // slots under LRU and every one of the 2W references misses.
+    for (MachineId id : {MachineId::R3000, MachineId::CVAX}) {
+        const MachineDesc m = makeMachine(id);
+        SCOPED_TRACE(m.name);
+        const bool sw = m.tlb.management == TlbManagement::Software;
+        const Cycles user_cost = sw ? m.tlb.swUserMissCycles
+                                    : m.tlb.hwMissCycles;
+        const Cycles kernel_cost = sw ? m.tlb.swKernelMissCycles
+                                      : m.tlb.hwMissCycles;
+        const std::uint32_t w = m.tlb.entries + 4;
+
+        SimKernel k(m);
+        AddressSpace &a = k.createSpace("a");
+        a.mapRange(0x4000, w, 0x9000, {});
+        k.contextSwitchTo(a); // empty working set: no TLB traffic
+        CountingScope counting;
+        Tracer::instance().enable(1 << 12);
+
+        std::vector<Vpn> pages;
+        for (int pass = 0; pass < 2; ++pass)
+            for (Vpn v = 0x4000; v < 0x4000 + w; ++v)
+                pages.push_back(v);
+        const Cycles t0 = k.elapsedCycles();
+        k.touchPages(pages, false);
+
+        std::vector<TraceRecord> want;
+        Cycles t = t0;
+        std::uint64_t misses = 0;
+        auto miss = [&](const char *name, Cycles cost, Vpn vpn) {
+            want.push_back({t, 0, cost, name, TraceEvent::TlbMiss,
+                            TracePhase::Instant});
+            want.push_back({t, 0, ++misses, "tlb_misses",
+                            TraceEvent::Counter, TracePhase::Counter});
+            t += cost;
+            want.push_back({t, 0, vpn, "tlb_fill", TraceEvent::TlbFill,
+                            TracePhase::Instant});
+        };
+        for (std::size_t i = 0; i < pages.size(); ++i) {
+            miss("tlb_miss_user", user_cost, pages[i]);
+            if (i == 0)
+                miss("tlb_miss_kernel", kernel_cost, 0x800 + a.asid());
+        }
+
+        const auto got = Tracer::instance().snapshot();
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t i = 0; i < got.size(); ++i) {
+            SCOPED_TRACE(::testing::Message() << "record " << i);
+            EXPECT_STREQ(got[i].name, want[i].name);
+            EXPECT_EQ(got[i].cycle, want[i].cycle);
+            EXPECT_EQ(got[i].arg, want[i].arg);
+            EXPECT_EQ(got[i].event, want[i].event);
+            EXPECT_EQ(got[i].phase, want[i].phase);
+        }
+        EXPECT_EQ(k.elapsedCycles(), t);
+        EXPECT_EQ(k.stats().get(kstat::userTlbMisses), 2u * w);
+        EXPECT_EQ(k.stats().get(kstat::kernelTlbMisses), 1u);
+        EXPECT_EQ(counting.value(HwCounter::TlbMisses), 2u * w + 1);
+        EXPECT_EQ(counting.value(HwCounter::TlbHits), 2u * w - 1);
+        EXPECT_EQ(counting.value(HwCounter::TlbRefillCycles), t - t0);
+    }
+}
+
+TEST(SimKernel, ProfilerDoesNotChangeTlbAccounting)
+{
+    struct Outcome
+    {
+        Cycles elapsed;
+        Cycles primitive;
+        StatGroup stats;
+        CounterSet counters;
+    };
+    // Two spaces whose working sets together overflow the TLB, plus
+    // kernel-pool touches, switched back and forth.
+    auto run = [](MachineId id, bool profiled) {
+        // Build the kernel (and the shared cost database) before
+        // counting starts, so both runs count the same events.
+        SimKernel k(makeMachine(id));
+        if (profiled)
+            Profiler::instance().enable();
+        CountingScope counting;
+        const std::uint32_t n = k.machine().tlb.entries;
+        AddressSpace &a = k.createSpace("a");
+        AddressSpace &b = k.createSpace("b");
+        a.mapRange(0x1000, n, 0x9000, {});
+        a.setWorkingSet(0x1000, n / 2 + 3);
+        b.mapRange(0x7c00, n, 0xa000, {});
+        b.setWorkingSet(0x7c00, n);
+        std::vector<Vpn> pool;
+        for (Vpn v = 0x800; v < 0x800 + n / 4; ++v)
+            pool.push_back(v);
+        for (int i = 0; i < 6; ++i) {
+            k.contextSwitchTo(i % 2 ? b : a);
+            k.syscall();
+            k.touchPages(pool, true);
+            k.touchWorkingSet();
+        }
+        Profiler::instance().disable();
+        Profiler::instance().clear();
+        return Outcome{k.elapsedCycles(), k.primitiveCycles(), k.stats(),
+                       HwCounters::instance().snapshot()};
+    };
+    for (MachineId id : {MachineId::R3000, MachineId::CVAX}) {
+        SCOPED_TRACE(static_cast<int>(id));
+        const Outcome plain = run(id, false);
+        const Outcome profiled = run(id, true);
+        EXPECT_GT(plain.stats.get(kstat::userTlbMisses), 0u);
+        EXPECT_GT(plain.stats.get(kstat::kernelTlbMisses), 0u);
+        EXPECT_EQ(plain.elapsed, profiled.elapsed);
+        EXPECT_EQ(plain.primitive, profiled.primitive);
+        EXPECT_EQ(plain.stats, profiled.stats);
+        EXPECT_EQ(plain.counters, profiled.counters);
     }
 }
 

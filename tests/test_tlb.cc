@@ -3,6 +3,8 @@
  * Unit and property tests for the TLB model (§3.2).
  */
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "arch/machines.hh"
@@ -265,6 +267,177 @@ TEST_P(TlbPropertyTest, HitAfterInsertUntilEvicted)
         TlbLookup r = tlb.lookup(v, a);
         ASSERT_TRUE(r.hit);
         ASSERT_EQ(r.pfn, v * 2);
+    }
+}
+
+/**
+ * The replacement policy written the obvious way: a vector of entries
+ * with lastUse stamps. The victim is the first invalid slot, else the
+ * least recently used unlocked entry.
+ */
+struct ReferenceTlb
+{
+    struct Entry
+    {
+        bool valid = false;
+        bool locked = false;
+        Vpn vpn = 0;
+        Asid asid = 0;
+        Pfn pfn = 0;
+        PageProt prot;
+        std::uint64_t lastUse = 0;
+    };
+
+    TlbDesc desc;
+    std::vector<Entry> entries;
+    std::uint64_t clock = 0;
+
+    explicit ReferenceTlb(const TlbDesc &d) : desc(d), entries(d.entries) {}
+
+    Entry *
+    find(Vpn vpn, Asid asid)
+    {
+        for (Entry &e : entries)
+            if (e.valid && e.vpn == vpn &&
+                (!desc.processIdTags || e.asid == asid))
+                return &e;
+        return nullptr;
+    }
+
+    TlbLookup
+    lookup(Vpn vpn, Asid asid, bool kernel_space)
+    {
+        if (Entry *e = find(vpn, asid)) {
+            e->lastUse = ++clock;
+            return {true, e->pfn, e->prot, 0};
+        }
+        if (desc.management == TlbManagement::Hardware)
+            return {false, 0, {}, desc.hwMissCycles};
+        return {false, 0, {}, kernel_space ? desc.swKernelMissCycles
+                                           : desc.swUserMissCycles};
+    }
+
+    void
+    insert(Vpn vpn, Asid asid, Pfn pfn, PageProt prot, bool locked)
+    {
+        Entry *e = find(vpn, asid);
+        for (Entry &c : entries)
+            if (!e && !c.valid)
+                e = &c;
+        if (!e)
+            for (Entry &c : entries)
+                if (!c.locked && (!e || c.lastUse < e->lastUse))
+                    e = &c;
+        *e = {true,   locked, vpn, desc.processIdTags ? asid : 0,
+              pfn,    prot,   ++clock};
+    }
+
+    template <class Pred>
+    void
+    dropIf(Pred pred)
+    {
+        for (Entry &e : entries)
+            if (e.valid && pred(e))
+                e = Entry{};
+    }
+
+    std::size_t
+    count(Asid asid, bool any_asid) const
+    {
+        std::size_t n = 0;
+        for (const Entry &e : entries)
+            n += e.valid && (any_asid || e.asid == asid);
+        return n;
+    }
+};
+
+TEST_P(TlbPropertyTest, MatchesReferenceModel)
+{
+    struct Shape
+    {
+        std::uint32_t entries;
+        bool tagged;
+        TlbManagement management;
+    };
+    const Shape shapes[] = {
+        {1, true, TlbManagement::Software},
+        {1, false, TlbManagement::Hardware},
+        {4, true, TlbManagement::Hardware},
+        {4, false, TlbManagement::Software},
+        {28, true, TlbManagement::Software},
+        {28, false, TlbManagement::Hardware},
+        {64, true, TlbManagement::Software},
+        {64, false, TlbManagement::Hardware},
+    };
+    for (const Shape &shape : shapes) {
+        SCOPED_TRACE(::testing::Message()
+                     << shape.entries << " entries, "
+                     << (shape.tagged ? "tagged" : "untagged"));
+        Rng rng(GetParam() * 31 + shape.entries);
+        TlbDesc d;
+        d.entries = shape.entries;
+        d.processIdTags = shape.tagged;
+        d.pidCount = shape.tagged ? 8 : 0;
+        d.management = shape.management;
+        d.lockableEntries = shape.entries / 4;
+        Tlb tlb(d);
+        ReferenceTlb ref(d);
+        // Lock at most entries-1 translations so a victim always exists.
+        const std::size_t lock_cap =
+            std::min<std::size_t>(d.lockableEntries, d.entries - 1);
+        for (int i = 0; i < 4000; ++i) {
+            Vpn v = rng.below(3 * shape.entries + 4);
+            Asid a = static_cast<Asid>(rng.below(4));
+            bool kernel = rng.chance(0.3);
+            std::uint64_t op = rng.below(100);
+            if (op < 55) {
+                TlbLookup got = tlb.lookup(v, a, kernel);
+                TlbLookup want = ref.lookup(v, a, kernel);
+                ASSERT_EQ(got.hit, want.hit) << "step " << i;
+                ASSERT_EQ(got.pfn, want.pfn) << "step " << i;
+                ASSERT_EQ(got.prot, want.prot) << "step " << i;
+                ASSERT_EQ(got.missCycles, want.missCycles) << "step " << i;
+                if (!got.hit && rng.chance(0.8)) {
+                    PageProt p{true, rng.chance(0.5), !kernel};
+                    tlb.refill(v, a, v * 7 + a, p, got.fillCell);
+                    ref.insert(v, a, v * 7 + a, p, false);
+                }
+            } else if (op < 75) {
+                const ReferenceTlb::Entry *cur = ref.find(v, a);
+                std::size_t others_locked = 0;
+                for (const auto &e : ref.entries)
+                    others_locked += e.valid && e.locked && &e != cur;
+                bool lock = rng.chance(0.2) && others_locked < lock_cap;
+                PageProt p{true, rng.chance(0.5), rng.chance(0.5)};
+                tlb.insert(v, a, v + 1000 * a, p, lock);
+                ref.insert(v, a, v + 1000 * a, p, lock);
+            } else if (op < 85) {
+                if (!ref.find(v, a)) {
+                    tlb.refill(v, a, v ^ 0x55, {});
+                    ref.insert(v, a, v ^ 0x55, {}, false);
+                }
+            } else if (op < 93) {
+                tlb.invalidate(v, a);
+                if (ReferenceTlb::Entry *e = ref.find(v, a))
+                    *e = {};
+            } else if (op < 96) {
+                tlb.invalidateAsid(a);
+                ref.dropIf([a](const auto &e) { return e.asid == a; });
+            } else if (op < 98) {
+                ASSERT_EQ(tlb.switchContext(),
+                          shape.tagged ? 0 : d.purgeAllCycles);
+                if (!shape.tagged)
+                    ref.dropIf([](const auto &) { return true; });
+            } else if (op < 99) {
+                tlb.invalidateAll();
+                ref.dropIf([](const auto &) { return true; });
+            }
+            ASSERT_EQ(tlb.validEntries(), ref.count(0, true))
+                << "step " << i;
+            for (Asid q = 0; q < 4; ++q)
+                ASSERT_EQ(tlb.entriesForAsid(q), ref.count(q, false))
+                    << "step " << i << " asid " << q;
+        }
     }
 }
 
