@@ -15,9 +15,9 @@ PageTable::protect(Vpn vpn, PageProt prot)
     WalkResult r = walk(vpn);
     if (!r.pte)
         return false;
-    Pte pte = *r.pte;
-    pte.prot = prot;
-    return update(vpn, pte);
+    r.pte->prot = prot;
+    map(vpn, *r.pte);
+    return true;
 }
 
 bool
@@ -80,6 +80,15 @@ class LinearPageTable : public PageTable
         if (vpn < table.size() && table[vpn].valid)
             r.pte = table[vpn].pte;
         return r;
+    }
+
+    bool
+    protect(Vpn vpn, PageProt prot) override
+    {
+        if (vpn >= table.size() || !table[vpn].valid)
+            return false;
+        table[vpn].pte.prot = prot;
+        return true;
     }
 
     std::uint64_t mappedPages() const override { return mapped; }
@@ -288,6 +297,18 @@ class HashedPageTable : public PageTable
         }
         r.memoryRefs = std::max<std::uint32_t>(r.memoryRefs, 1);
         return r;
+    }
+
+    bool
+    protect(Vpn vpn, PageProt prot) override
+    {
+        for (auto &node : buckets[hash(vpn)]) {
+            if (node.first == vpn) {
+                node.second.prot = prot;
+                return true;
+            }
+        }
+        return false;
     }
 
     std::uint64_t mappedPages() const override { return mapped; }

@@ -63,8 +63,10 @@ class PageTable
     /** Walk the table. */
     virtual WalkResult walk(Vpn vpn) const = 0;
 
-    /** Change protection on an existing mapping.
-     *  @return false if the page is not mapped. */
+    /** Change protection on an existing mapping, keeping every other
+     *  PTE field. The base walks once and re-maps what it found; the
+     *  linear and hashed tables edit the PTE in place.
+     *  @return false if the page is not mapped (nothing changes). */
     virtual bool protect(Vpn vpn, PageProt prot);
 
     /** Update a full PTE in place. @return false if unmapped. */

@@ -110,7 +110,7 @@ SimKernel::batchActive() const
     return !tracerEnabled() && !spantraceEnabled();
 }
 
-void
+inline void
 SimKernel::chargePrimitiveBatch(const char *scope, Primitive p,
                                 std::uint64_t n)
 {
@@ -137,7 +137,7 @@ SimKernel::chargePrimitiveBatch(const char *scope, Primitive p,
     primCycles += pc.cycles * n;
 }
 
-void
+inline void
 SimKernel::batchScopedPrimitive(const char *scope, Primitive p,
                                 std::uint64_t *stat, HwCounter event,
                                 std::uint64_t n, bool sample_each)
@@ -317,10 +317,14 @@ SimKernel::pteChangeBatch(AddressSpace &space,
     // TLB shootdown. These only mutate state and bump their own
     // counters — no cycles, no attribution — so running them after
     // the aggregate charge leaves every observable total equal to the
-    // interleaved loop's.
+    // interleaved loop's. pageTable() empties the space's walk memo
+    // and nothing in the loop refills it, so one call per batch
+    // leaves the memo as a call per page would.
+    PageTable &table = space.pageTable();
+    const Asid asid = space.asid();
     for (Vpn vpn : vpns) {
-        space.pageTable().protect(vpn, prot);
-        tlbModel.invalidate(vpn, space.asid());
+        table.protect(vpn, prot);
+        tlbModel.invalidate(vpn, asid);
     }
 }
 

@@ -209,15 +209,19 @@ class SimKernel
     void chargePrimitive(Primitive p);
     /** Closed-form chargePrimitive × n under an outer profiler scope
      *  entered n times (the batch fast path; caller checked
-     *  batchActive()). */
-    void chargePrimitiveBatch(const char *scope, Primitive p,
-                              std::uint64_t n);
+     *  batchActive()). Forced inline, as is batchScopedPrimitive:
+     *  a traffic sweep enters a *Batch point several times per
+     *  request, and a call there is a measurable share of a sweep. */
+    [[gnu::always_inline]] void chargePrimitiveBatch(const char *scope,
+                                                     Primitive p,
+                                                     std::uint64_t n);
     /** Shared body of the scoped batch ops (syscall/trap/exception/
      *  thread switch): stat + counter + charge + optional per-event
      *  sampler boundaries. */
-    void batchScopedPrimitive(const char *scope, Primitive p,
-                              std::uint64_t *stat, HwCounter event,
-                              std::uint64_t n, bool sample_each);
+    [[gnu::always_inline]] void
+    batchScopedPrimitive(const char *scope, Primitive p,
+                         std::uint64_t *stat, HwCounter event,
+                         std::uint64_t n, bool sample_each);
     MachineDesc desc;
     const PrimitiveCostDb &costs;
     /** cost(desc.id, p) resolved once per primitive at construction:

@@ -5,19 +5,6 @@
 namespace aosd
 {
 
-std::size_t
-Histogram::bucketIndex(std::uint64_t v)
-{
-    if (v == 0)
-        return 0;
-    std::size_t bits = 0;
-    while (v) {
-        v >>= 1;
-        ++bits;
-    }
-    return bits; // 1 + floor(log2(v))
-}
-
 std::uint64_t
 Histogram::bucketLowerBound(std::size_t i)
 {
@@ -32,20 +19,6 @@ Histogram::bucketUpperBound(std::size_t i)
     if (i >= 64)
         return ~std::uint64_t{0};
     return (std::uint64_t{1} << i) - 1;
-}
-
-void
-Histogram::sample(std::uint64_t v)
-{
-    if (n == 0) {
-        lo = hi = v;
-    } else {
-        lo = std::min(lo, v);
-        hi = std::max(hi, v);
-    }
-    ++counts[bucketIndex(v)];
-    ++n;
-    sum += v;
 }
 
 void

@@ -2,19 +2,23 @@
  * @file
  * Fixed-bucket log2 histogram for cycle counts.
  *
- * The profiler needs per-leaf latency distributions (p50/p90/p99 of a
- * span's cycles) without allocating per sample. Values land in one of
- * 65 power-of-two buckets: bucket 0 holds exactly the value 0, bucket
- * i >= 1 holds [2^(i-1), 2^i). Exact count/sum/min/max ride along so
- * the mean is precise and percentile interpolation can be clamped to
- * the observed range (a histogram whose samples are all one value
+ * The profiler, the span tracer and the traffic sweep need latency
+ * distributions (p50/p90/p99 of a span's or a request's cycles)
+ * without allocating per sample. Values land in one of 65
+ * power-of-two buckets: bucket 0 holds exactly the value 0, bucket
+ * i >= 1 holds [2^(i-1), 2^i), so a value's bucket is its bit width
+ * and sample() costs one bit scan. Exact count/sum/min/max ride along
+ * so the mean is precise and percentile interpolation can be clamped
+ * to the observed range (a histogram whose samples are all one value
  * reports that value exactly).
  */
 
 #ifndef AOSD_SIM_PROFILE_HISTOGRAM_HH
 #define AOSD_SIM_PROFILE_HISTOGRAM_HH
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 
 #include "sim/json.hh"
@@ -29,8 +33,13 @@ class Histogram
     /** Bucket 0 plus one bucket per bit position. */
     static constexpr std::size_t bucketCount = 65;
 
-    /** Bucket a value falls into: 0 for 0, else 1 + floor(log2(v)). */
-    static std::size_t bucketIndex(std::uint64_t v);
+    /** Bucket a value falls into: 0 for 0, else 1 + floor(log2(v)),
+     *  which is the bit width of `v`. */
+    static std::size_t
+    bucketIndex(std::uint64_t v)
+    {
+        return static_cast<std::size_t>(std::bit_width(v));
+    }
 
     /** Smallest value belonging to bucket `i`. */
     static std::uint64_t bucketLowerBound(std::size_t i);
@@ -38,7 +47,21 @@ class Histogram
     /** Largest value belonging to bucket `i`. */
     static std::uint64_t bucketUpperBound(std::size_t i);
 
-    void sample(std::uint64_t v);
+    /** Inline: a traffic sweep samples three histograms per
+     *  simulated request. */
+    void
+    sample(std::uint64_t v)
+    {
+        if (n == 0) {
+            lo = hi = v;
+        } else {
+            lo = std::min(lo, v);
+            hi = std::max(hi, v);
+        }
+        ++counts[bucketIndex(v)];
+        ++n;
+        sum += v;
+    }
 
     /** Fold `k` identical samples of `v` in one update — exactly
      *  equivalent to calling sample(v) k times (the batch charger's

@@ -180,25 +180,34 @@ struct SlowRequest
     Cycles latency() const { return wait + service; }
 };
 
-/** Keep the top-K slowest requests, ordered latency desc then id asc
- *  (ties resolve to the earliest request, keeping the list stable
- *  under any insertion order). */
+/** Exemplar order: latency desc, then id asc. Ids are unique, so
+ *  this is a strict total order and the top K under it are one set
+ *  in one order, whatever the insertion order. */
+bool
+slowerRequest(const SlowRequest &a, const SlowRequest &b)
+{
+    if (a.latency() != b.latency())
+        return a.latency() > b.latency();
+    return a.id < b.id;
+}
+
+/** Keep the top-K slowest requests as a heap under slowerRequest,
+ *  whose front is the fastest one kept: a request that is not slower
+ *  than it is rejected in O(1), any other replaces it in O(log K).
+ *  sort_heap() under slowerRequest gives the final slowest-first
+ *  order once the cell ends. */
 void
 keepSlowest(std::vector<SlowRequest> &top, std::size_t k,
             const SlowRequest &r)
 {
-    if (k == 0)
-        return;
-    auto slower = [](const SlowRequest &a, const SlowRequest &b) {
-        if (a.latency() != b.latency())
-            return a.latency() > b.latency();
-        return a.id < b.id;
-    };
-    if (top.size() == k && !slower(r, top.back()))
-        return;
-    top.insert(std::upper_bound(top.begin(), top.end(), r, slower), r);
-    if (top.size() > k)
-        top.pop_back();
+    if (top.size() < k) {
+        top.push_back(r);
+        std::push_heap(top.begin(), top.end(), slowerRequest);
+    } else if (k != 0 && slowerRequest(r, top.front())) {
+        std::pop_heap(top.begin(), top.end(), slowerRequest);
+        top.back() = r;
+        std::push_heap(top.begin(), top.end(), slowerRequest);
+    }
 }
 
 /** Stable per-cell seed: mixes machine identity and level index into
@@ -360,6 +369,8 @@ runCell(const TrafficConfig &cfg, MachineId mid, std::size_t level_idx)
             next_submit[client] = finish + drawUpTo(rng, think_bound);
     }
 
+    std::sort_heap(slowest.begin(), slowest.end(), slowerRequest);
+
     CounterSet events =
         HwCounters::instance().snapshot().delta(ctr_base);
     Reconciliation recon = reconcileKernelWindow(
@@ -455,6 +466,10 @@ trafficConfigError(const TrafficConfig &cfg)
     if (!(std::isfinite(cfg.thinkFactor) && cfg.thinkFactor >= 0.0))
         return "think factor must be finite and >= 0, got " +
                num(cfg.thinkFactor);
+    if (cfg.exemplars > trafficMaxExemplars)
+        return "exemplars wants 0.." +
+               std::to_string(trafficMaxExemplars) + " per cell, got " +
+               std::to_string(cfg.exemplars);
     return "";
 }
 

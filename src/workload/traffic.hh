@@ -74,8 +74,9 @@ struct TrafficConfig
      *  mean service time. */
     double thinkFactor = 5.0;
     std::uint64_t seed = 0x5eedf00d;
-    /** Top-K slowest requests retained per cell (digested out at
-     *  perfdb ingest, like span exemplars). */
+    /** Top-K slowest requests retained per cell, 0..
+     *  trafficMaxExemplars (digested out at perfdb ingest, like span
+     *  exemplars). */
     std::size_t exemplars = 5;
     /** Machines to sweep; empty selects the Table 1 machines. */
     std::vector<MachineId> machines;
@@ -88,13 +89,17 @@ constexpr std::uint64_t trafficMaxRequests = 100'000'000;
 constexpr double trafficMaxOpenLoad = 100.0;
 /** Largest closed-loop client population. */
 constexpr std::uint64_t trafficMaxClients = 1'000'000;
+/** Largest number of slowest-request exemplars kept per cell (each
+ *  one is a JSON object in the document). */
+constexpr std::size_t trafficMaxExemplars = 10'000;
 
 /**
  * Why `cfg` is not a sweep a user may ask for, or "" when it is:
  * 1..trafficMaxRequests requests per cell; at least one level; open
  * loop levels finite, > 0 and <= trafficMaxOpenLoad; closed loop
  * levels whole client counts in 1..trafficMaxClients; a finite
- * thinkFactor >= 0. The message is one line naming the bad value.
+ * thinkFactor >= 0; at most trafficMaxExemplars exemplars. The
+ * message is one line naming the bad value.
  * buildTrafficDoc does not check: it rounds closed-loop levels to the
  * nearest population of at least one client.
  */

@@ -97,6 +97,53 @@ TEST_P(PageTableContract, ProtectChangesBits)
     EXPECT_FALSE(table->protect(0x999, ro)); // unmapped
 }
 
+TEST_P(PageTableContract, ProtectKeepsEveryOtherField)
+{
+    Pte pte;
+    pte.pfn = 0x42;
+    pte.prot.writable = true;
+    pte.referenced = true;
+    pte.dirty = true;
+    pte.copyOnWrite = true;
+    table->map(7, pte);
+    table->map(8, Pte{0x43, {}, false, false, false});
+    const std::uint64_t mapped = table->mappedPages();
+
+    PageProt prot;
+    prot.readable = false;
+    prot.writable = false;
+    prot.userAccessible = false;
+    ASSERT_TRUE(table->protect(7, prot));
+    std::optional<Pte> got = table->walk(7).pte;
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(got->prot, prot);
+    EXPECT_EQ(got->pfn, 0x42u);
+    EXPECT_TRUE(got->referenced);
+    EXPECT_TRUE(got->dirty);
+    EXPECT_TRUE(got->copyOnWrite);
+    EXPECT_EQ(table->mappedPages(), mapped);
+    // The neighbour is untouched.
+    EXPECT_EQ(table->walk(8).pte->pfn, 0x43u);
+    EXPECT_EQ(table->walk(8).pte->prot, PageProt{});
+}
+
+TEST_P(PageTableContract, ProtectUnmappedChangesNothing)
+{
+    table->map(7, Pte{3, {}, true, false, false});
+    const std::uint64_t mapped = table->mappedPages();
+    const std::uint64_t overhead = table->tableOverheadBytes();
+    PageProt rw;
+    rw.writable = true;
+    // A hole beside a mapping, and pages far past the highest one.
+    for (Vpn vpn : {Vpn{6}, Vpn{0x999}, Vpn{0xfffff}}) {
+        EXPECT_FALSE(table->protect(vpn, rw)) << vpn;
+        EXPECT_FALSE(table->walk(vpn).pte.has_value()) << vpn;
+    }
+    EXPECT_EQ(table->mappedPages(), mapped);
+    EXPECT_EQ(table->tableOverheadBytes(), overhead);
+    EXPECT_EQ(table->walk(7).pte->prot, PageProt{});
+}
+
 TEST_P(PageTableContract, ManyMappingsAllRetrievable)
 {
     for (Vpn v = 0; v < 500; ++v)

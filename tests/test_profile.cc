@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <stdexcept>
 #include <vector>
 
@@ -17,6 +19,7 @@
 #include "os/kernel/kernel.hh"
 #include "sim/profile/histogram.hh"
 #include "sim/profile/profile.hh"
+#include "sim/random.hh"
 
 using namespace aosd;
 
@@ -72,6 +75,123 @@ TEST(ProfHistogram, BucketBoundaries)
         std::size_t i = Histogram::bucketIndex(v);
         EXPECT_GE(v, Histogram::bucketLowerBound(i));
         EXPECT_LE(v, Histogram::bucketUpperBound(i));
+    }
+}
+
+TEST(ProfHistogram, BucketIndexAtEveryPowerOfTwoEdge)
+{
+    // 2^k - 1 is the last value of bucket k, 2^k the first of k + 1
+    // (k = 0 gives the value 0 in bucket 0 and 1 in bucket 1).
+    for (unsigned k = 0; k < 64; ++k) {
+        const std::uint64_t p = std::uint64_t{1} << k;
+        EXPECT_EQ(Histogram::bucketIndex(p - 1), k) << "2^" << k << "-1";
+        EXPECT_EQ(Histogram::bucketIndex(p), k + 1) << "2^" << k;
+    }
+}
+
+/** Bucket by shifting one bit at a time: the definition, spelled out. */
+std::size_t
+naiveBucket(std::uint64_t v)
+{
+    std::size_t bits = 0;
+    for (; v; v >>= 1)
+        ++bits;
+    return bits;
+}
+
+/** Percentile `p` of `sorted` by Histogram's documented rule, worked
+ *  from the samples themselves: the rank-th sample's bucket, its
+ *  bounds clamped to the observed min/max, interpolated across the
+ *  samples that share the bucket. */
+double
+naivePercentile(const std::vector<std::uint64_t> &sorted, double p)
+{
+    const auto n = static_cast<std::uint64_t>(sorted.size());
+    auto rank = static_cast<std::uint64_t>(
+        p / 100.0 * static_cast<double>(n) + 0.9999999999);
+    rank = std::clamp<std::uint64_t>(rank, 1, n);
+    const std::size_t b = naiveBucket(sorted[rank - 1]);
+    std::uint64_t first = 0; // samples in buckets below b
+    std::uint64_t in_bucket = 0;
+    for (std::uint64_t v : sorted) {
+        if (naiveBucket(v) < b)
+            ++first;
+        else if (naiveBucket(v) == b)
+            ++in_bucket;
+    }
+    const std::uint64_t blo =
+        std::max(Histogram::bucketLowerBound(b), sorted.front());
+    const std::uint64_t bhi = std::max(
+        blo, std::min(Histogram::bucketUpperBound(b), sorted.back()));
+    if (in_bucket <= 1 || bhi == blo)
+        return static_cast<double>(blo);
+    return static_cast<double>(blo) +
+           static_cast<double>(bhi - blo) *
+               static_cast<double>(rank - first - 1) /
+               static_cast<double>(in_bucket - 1);
+}
+
+TEST(ProfHistogram, SampleMatchesNaiveReference)
+{
+    Rng rng(0x4157);
+    for (std::size_t len : {2u, 3u, 17u, 1000u, 5000u})
+    for (bool extremes : {true, false}) {
+        // Random bit widths, so every bucket gets visits, with or
+        // without 0 and UINT64_MAX (which pin min and max).
+        std::vector<std::uint64_t> values;
+        if (extremes)
+            values = {0, ~std::uint64_t{0}};
+        while (values.size() < len)
+            values.push_back(rng.next() >> rng.below(64));
+
+        Histogram h;
+        std::array<std::uint64_t, Histogram::bucketCount> buckets{};
+        std::uint64_t sum = 0;
+        for (std::uint64_t v : values) {
+            h.sample(v);
+            ++buckets[naiveBucket(v)];
+            sum += v; // wraps mod 2^64, as Histogram's does
+        }
+        std::vector<std::uint64_t> sorted = values;
+        std::sort(sorted.begin(), sorted.end());
+
+        EXPECT_EQ(h.count(), values.size()) << len;
+        EXPECT_EQ(h.total(), sum) << len;
+        EXPECT_EQ(h.min(), sorted.front()) << len;
+        EXPECT_EQ(h.max(), sorted.back()) << len;
+        for (std::size_t i = 0; i < Histogram::bucketCount; ++i)
+            EXPECT_EQ(h.bucket(i), buckets[i]) << len << " bucket " << i;
+        for (double p : {50.0, 90.0, 99.0, 99.9})
+            EXPECT_DOUBLE_EQ(h.percentile(p), naivePercentile(sorted, p))
+                << len << " values at p" << p;
+    }
+}
+
+TEST(ProfHistogram, SampleNEqualsRepeatedSample)
+{
+    Rng rng(0x5a3f);
+    Histogram batched;
+    Histogram looped;
+    for (int run = 0; run < 200; ++run) {
+        const std::uint64_t v =
+            run == 0 ? 0
+            : run == 1 ? ~std::uint64_t{0}
+                       : rng.next() >> rng.below(64);
+        const std::uint64_t k = rng.below(6); // 0 is a no-op
+        batched.sampleN(v, k);
+        for (std::uint64_t i = 0; i < k; ++i)
+            looped.sample(v);
+
+        ASSERT_EQ(batched.count(), looped.count()) << run;
+        EXPECT_EQ(batched.total(), looped.total()) << run;
+        EXPECT_EQ(batched.min(), looped.min()) << run;
+        EXPECT_EQ(batched.max(), looped.max()) << run;
+        for (std::size_t i = 0; i < Histogram::bucketCount; ++i)
+            EXPECT_EQ(batched.bucket(i), looped.bucket(i))
+                << run << " bucket " << i;
+        for (double p : {50.0, 90.0, 99.0, 99.9})
+            EXPECT_DOUBLE_EQ(batched.percentile(p), looped.percentile(p))
+                << run << " at p" << p;
     }
 }
 

@@ -11,13 +11,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
 
 #include "arch/machines.hh"
 #include "cpu/primitive_costs.hh"
+#include "fnv1a.hh"
 #include "sim/counters/counters.hh"
 #include "sim/counters/reconcile.hh"
 #include "sim/parallel/parallel_runner.hh"
@@ -346,21 +346,6 @@ TEST_F(SamplingTest, TimeseriesDocIdenticalAcrossJobCounts)
     EXPECT_EQ(doc.at("schema_version").asUint(),
               static_cast<std::uint64_t>(timeseriesSchemaVersion));
     EXPECT_EQ(doc.at("table7").at("cells").size(), 14u);
-}
-
-/** 64-bit FNV-1a as hex, the digest perfbench/digests.json records. */
-std::string
-fnv1a(const std::string &text)
-{
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (unsigned char ch : text) {
-        h ^= ch;
-        h *= 0x100000001b3ULL;
-    }
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(h));
-    return buf;
 }
 
 // The two largest documents have no golden; their recorded digests pin

@@ -13,6 +13,7 @@
 #include <string>
 
 #include "arch/machines.hh"
+#include "fnv1a.hh"
 #include "sim/counters/counters.hh"
 #include "sim/parallel/parallel_runner.hh"
 #include "sim/perfdb/perfdb.hh"
@@ -215,6 +216,83 @@ TEST_F(TrafficTest, SlowestRequestExemplarsAreSortedAndCapped)
     }
 }
 
+TEST_F(TrafficTest, ZeroExemplarsGiveEmptyListsOnEveryCell)
+{
+    TrafficConfig cfg = smallConfig();
+    cfg.exemplars = 0;
+    ParallelRunner serial(1);
+    Json doc = buildTrafficDoc(cfg, serial);
+    for (std::size_t mi = 0; mi < doc.at("machines").size(); ++mi) {
+        const Json &levels = doc.at("machines").at(mi).at("load_levels");
+        for (std::size_t li = 0; li < levels.size(); ++li) {
+            const Json &slow = levels.at(li).at("slowest_requests");
+            EXPECT_TRUE(slow.isArray()) << mi << "/" << li;
+            EXPECT_EQ(slow.size(), 0u) << mi << "/" << li;
+        }
+    }
+}
+
+TEST_F(TrafficTest, ExemplarsForEveryRequestAreTotallyOrdered)
+{
+    TrafficConfig cfg = smallConfig();
+    cfg.exemplars = cfg.requestsPerLevel;
+    TrafficConfig top3 = smallConfig();
+    top3.exemplars = 3;
+    ParallelRunner serial(1);
+    Json all = buildTrafficDoc(cfg, serial);
+    Json three = buildTrafficDoc(top3, serial);
+    for (std::size_t mi = 0; mi < all.at("machines").size(); ++mi) {
+        const Json &levels = all.at("machines").at(mi).at("load_levels");
+        for (std::size_t li = 0; li < levels.size(); ++li) {
+            const Json &slow = levels.at(li).at("slowest_requests");
+            ASSERT_EQ(slow.size(), cfg.requestsPerLevel);
+            // Latency desc, then id asc, strictly: every request once.
+            for (std::size_t i = 1; i < slow.size(); ++i) {
+                const Json &a = slow.at(i - 1);
+                const Json &b = slow.at(i);
+                const std::uint64_t la = a.at("latency_cycles").asUint();
+                const std::uint64_t lb = b.at("latency_cycles").asUint();
+                EXPECT_TRUE(la > lb ||
+                            (la == lb &&
+                             a.at("id").asUint() < b.at("id").asUint()))
+                    << mi << "/" << li << " entry " << i;
+            }
+            const Json &head = three.at("machines")
+                                   .at(mi)
+                                   .at("load_levels")
+                                   .at(li)
+                                   .at("slowest_requests");
+            ASSERT_EQ(head.size(), 3u);
+            for (std::size_t i = 0; i < head.size(); ++i)
+                EXPECT_EQ(slow.at(i).dump(), head.at(i).dump())
+                    << mi << "/" << li << " entry " << i;
+        }
+    }
+}
+
+// Every latency, wait and exemplar byte of a small sweep, per arrival
+// process and loop mode. perfbench checks the full sweeps' digests,
+// outside ctest; these pin small ones inside it. A change to what a
+// sweep simulates must update them on purpose.
+TEST_F(TrafficTest, SmallSweepBytesPinned)
+{
+    ParallelRunner serial(1);
+    TrafficConfig uniform = smallConfig();
+    EXPECT_EQ(fnv1a(buildTrafficDoc(uniform, serial).dump(1)),
+              "f83ff2d9f7b9e876");
+
+    TrafficConfig bursty = smallConfig();
+    bursty.arrival = TrafficArrival::Bursty;
+    EXPECT_EQ(fnv1a(buildTrafficDoc(bursty, serial).dump(1)),
+              "21808c963085ab06");
+
+    TrafficConfig closed = smallConfig();
+    closed.mode = TrafficMode::Closed;
+    closed.levels = {2, 8};
+    EXPECT_EQ(fnv1a(buildTrafficDoc(closed, serial).dump(1)),
+              "7e721e640e58bced");
+}
+
 TEST_F(TrafficTest, PerfDbIngestDigestsOutExemplars)
 {
     TrafficConfig cfg = smallConfig();
@@ -304,6 +382,20 @@ TEST_F(TrafficTest, ConfigErrorRejectsBadSweeps)
         cfg.thinkFactor = t;
         rejects(cfg, "think factor");
     }
+}
+
+TEST_F(TrafficTest, ConfigErrorBoundsExemplars)
+{
+    TrafficConfig cfg;
+    for (std::size_t k : {std::size_t{0}, trafficMaxExemplars}) {
+        cfg.exemplars = k;
+        EXPECT_EQ(trafficConfigError(cfg), "") << k;
+    }
+    cfg.exemplars = trafficMaxExemplars + 1;
+    std::string err = trafficConfigError(cfg);
+    EXPECT_NE(err.find("exemplars"), std::string::npos) << err;
+    EXPECT_NE(err.find("10001"), std::string::npos) << err;
+    EXPECT_EQ(err.find('\n'), std::string::npos) << err;
 }
 
 TEST_F(TrafficTest, ReplayEventMixIsDeterministicAndCoversCounters)

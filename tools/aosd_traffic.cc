@@ -72,7 +72,8 @@ usage(const char *argv0)
         "  --think F      closed-loop think time as a multiple of the\n"
         "                 mean service time, >= 0 (default 5)\n"
         "  --seed N       sweep seed (default 0x5eedf00d)\n"
-        "  --exemplars K  slowest requests kept per cell (default 5)\n"
+        "  --exemplars K  slowest requests kept per cell, 0 to\n"
+        "                 10000 (default 5)\n"
         "  --min-explained PCT\n"
         "                 fail unless every cell's kernel window\n"
         "                 explains at least PCT%% of its primitive\n"
