@@ -7,7 +7,7 @@
  * goes through these parsers instead: a value must be the whole token,
  * with no sign (for whole numbers), whitespace, junk, overflow, inf or
  * nan, and a tool that gets a bad one prints one line naming the flag
- * (badFlag) and exits 2.
+ * (sim/cli.hh) and exits 2.
  */
 
 #ifndef AOSD_SIM_NUMERIC_FLAGS_HH
@@ -18,7 +18,6 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <string>
 
@@ -94,23 +93,6 @@ parseReps(const std::string &s, unsigned &reps)
     reps = n == 0 ? 1 : static_cast<unsigned>(n);
     return true;
 }
-
-/** Reports a bad value for `flag` as one stderr line saying what the
- *  flag wants; returns 2, the tools' bad-usage exit status. */
-inline int
-badFlag(const char *argv0, const std::string &flag,
-        const std::string &val, const char *want)
-{
-    std::fprintf(stderr, "%s: %s wants %s, got '%s'\n", argv0,
-                 flag.c_str(), want, val.c_str());
-    return 2;
-}
-
-/** What badFlag() says --jobs and --reps want when parseJobs() or
- *  parseReps() rejects a value. */
-inline constexpr const char *jobsWant = "a whole number from 0 to 1024";
-inline constexpr const char *repsWant =
-    "a whole number from 0 to 4294967295";
 
 } // namespace aosd
 

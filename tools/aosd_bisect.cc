@@ -33,14 +33,10 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
+#include <vector>
 
-#include "sim/json.hh"
-#include "sim/numeric_flags.hh"
+#include "sim/cli.hh"
 #include "sim/perfdb/perfdb.hh"
 #include "study/bisect.hh"
 
@@ -48,46 +44,6 @@ using namespace aosd;
 
 namespace
 {
-
-void
-usage(const char *argv0)
-{
-    std::fprintf(
-        stderr,
-        "usage: %s [--top N] [--json path] old.json new.json\n"
-        "       %s [--top N] [--json path] --db perfdb.jsonl\n"
-        "          --from REF --to REF [--doc NAME]\n"
-        "  --top N      print at most N findings (default 10,\n"
-        "               0 = all)\n"
-        "  --json path  also write the full ranked explanation as "
-        "JSON\n"
-        "  --db path    read the pair from a perf database\n"
-        "  --from/--to  record id, commit (or unique prefix),\n"
-        "               'latest', or -N (N runs back)\n"
-        "  --doc NAME   stored document to bisect (default:\n"
-        "               counters, else kernel_windows, else report)\n"
-        "accepts counters.json, kernel-windows or report.json pairs\n",
-        argv0, argv0);
-}
-
-bool
-loadJson(const char *path, Json &out)
-{
-    std::ifstream in(path);
-    if (!in) {
-        std::fprintf(stderr, "cannot read %s\n", path);
-        return false;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    std::string error;
-    out = Json::parse(buf.str(), &error);
-    if (out.isNull() && !error.empty()) {
-        std::fprintf(stderr, "%s: %s\n", path, error.c_str());
-        return false;
-    }
-    return true;
-}
 
 const char *
 docMode(const Json &doc)
@@ -109,49 +65,38 @@ main(int argc, char **argv)
     std::size_t top = 10;
     std::string json_path;
     std::string db_path, from_ref, to_ref, doc_name;
-    const char *old_path = nullptr;
-    const char *new_path = nullptr;
+    std::vector<std::string> files;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto value = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                usage(argv[0]);
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--top") {
-            std::string v = value();
-            if (!parseCount(v, top))
-                return badFlag(argv[0], arg, v, "a whole number");
-        } else if (arg == "--json") {
-            json_path = value();
-        } else if (arg == "--db") {
-            db_path = value();
-        } else if (arg == "--from") {
-            from_ref = value();
-        } else if (arg == "--to") {
-            to_ref = value();
-        } else if (arg == "--doc") {
-            doc_name = value();
-        } else if (arg == "--help" || arg == "-h") {
-            usage(argv[0]);
-            return 0;
-        } else if (!old_path) {
-            old_path = argv[i];
-        } else if (!new_path) {
-            new_path = argv[i];
-        } else {
-            usage(argv[0]);
-            return 2;
-        }
-    }
+    Cli cli("[options] old.json new.json\n"
+            "       aosd_bisect [options] --db perfdb.jsonl --from REF "
+            "--to REF [--doc NAME]\n"
+            "accepts counters.json, kernel-windows or report.json pairs");
+    cli.whole("--top", "N", "print at most N findings (default 10, 0 = all)",
+              top)
+        .text("--json", "path",
+              "also write the full ranked explanation as JSON", json_path)
+        .text("--db", "path", "read the pair from a perf database",
+              db_path)
+        .text("--from", "REF",
+              "record id, commit (or unique prefix), 'latest', or -N "
+              "(N runs back)",
+              from_ref)
+        .text("--to", "REF", "the same forms as --from", to_ref)
+        .text("--doc", "NAME",
+              "stored document to bisect (default: counters, else "
+              "kernel_windows, else report)",
+              doc_name)
+        .positionals(files, 2);
+    if (auto rc = cli.parseOrExit(argc, argv))
+        return *rc;
 
     bool db_mode = !db_path.empty();
-    if (db_mode ? (old_path || from_ref.empty() || to_ref.empty())
-                : (!old_path || !new_path)) {
-        usage(argv[0]);
+    if (db_mode ? (!files.empty() || from_ref.empty() || to_ref.empty())
+                : files.size() != 2) {
+        std::fprintf(stderr,
+                     "%s: wants two files, old.json new.json, or --db "
+                     "with --from and --to\n",
+                     argv[0]);
         return 2;
     }
 
@@ -206,23 +151,16 @@ main(int argc, char **argv)
         new_doc = *nd;
         pair_label = doc_name + " of " + from->id() + " -> " +
                      to->id();
-    } else if (!loadJson(old_path, old_doc) ||
-               !loadJson(new_path, new_doc)) {
+    } else if (!readJsonFile(files[0], old_doc) ||
+               !readJsonFile(files[1], new_doc)) {
         return 2;
     }
 
     BisectResult r = bisectDocs(old_doc, new_doc);
     const char *mode = docMode(new_doc);
 
-    if (!json_path.empty()) {
-        std::ofstream out(json_path);
-        if (!out) {
-            std::fprintf(stderr, "cannot open %s for writing\n",
-                         json_path.c_str());
-            return 2;
-        }
-        out << r.toJson().dump(1);
-    }
+    if (!json_path.empty() && !writeFile(json_path, r.toJson().dump(1)))
+        return 2;
 
     if (!pair_label.empty())
         std::printf("aosd_bisect: %s\n", pair_label.c_str());

@@ -31,55 +31,15 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "arch/machines.hh"
-#include "sim/numeric_flags.hh"
+#include "sim/cli.hh"
 #include "sim/parallel/parallel_runner.hh"
 #include "study/counters_report.hh"
 
 using namespace aosd;
-
-namespace
-{
-
-void
-usage(const char *argv0)
-{
-    std::fprintf(
-        stderr,
-        "usage: %s [--json path] [--reps N] [--machines SLUG[,...]]\n"
-        "          [--min-explained PCT] [--jobs N]\n"
-        "  --json path         write counters.json\n"
-        "  --reps N            repetitions per primitive (default 16)\n"
-        "  --machines list     comma-separated machine slugs\n"
-        "                      (default: the five Table 1 machines)\n"
-        "  --min-explained P   fail below P%% explained (default 95)\n"
-        "  --jobs N            worker threads, at most 1024 (default:\n"
-        "                      all cores; 1 = serial; output is\n"
-        "                      identical either way)\n"
-        "  --kernel-windows    reconcile Table 7 workload windows\n"
-        "                      (one machine; default R3000)\n",
-        argv0);
-}
-
-bool
-writeFile(const std::string &path, const std::string &content)
-{
-    std::ofstream out(path);
-    if (!out) {
-        std::fprintf(stderr, "cannot open %s for writing\n",
-                     path.c_str());
-        return false;
-    }
-    out << content;
-    return true;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -89,54 +49,27 @@ main(int argc, char **argv)
     unsigned jobs = ParallelRunner::defaultJobs();
     double min_explained = 95.0;
     bool kernel_windows = false;
-    std::vector<MachineDesc> machines;
+    std::vector<MachineId> machine_ids;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto value = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                usage(argv[0]);
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--json") {
-            json_path = value();
-        } else if (arg == "--reps") {
-            std::string v = value();
-            if (!parseReps(v, reps))
-                return badFlag(argv[0], arg, v, repsWant);
-        } else if (arg == "--min-explained") {
-            std::string v = value();
-            if (!parseNumber(v, min_explained))
-                return badFlag(argv[0], arg, v, "a number");
-        } else if (arg == "--kernel-windows") {
-            kernel_windows = true;
-        } else if (arg == "--jobs") {
-            std::string v = value();
-            if (!parseJobs(v, jobs))
-                return badFlag(argv[0], arg, v, jobsWant);
-        } else if (arg == "--machines") {
-            std::string list = value();
-            std::size_t pos = 0;
-            while (pos <= list.size()) {
-                std::size_t comma = list.find(',', pos);
-                if (comma == std::string::npos)
-                    comma = list.size();
-                std::string slug = list.substr(pos, comma - pos);
-                if (!slug.empty())
-                    machines.push_back(
-                        makeMachine(machineFromSlug(slug)));
-                pos = comma + 1;
-            }
-        } else if (arg == "--help" || arg == "-h") {
-            usage(argv[0]);
-            return 0;
-        } else {
-            usage(argv[0]);
-            return 2;
-        }
-    }
+    Cli cli;
+    cli.text("--json", "path", "write counters.json", json_path)
+        .reps("repetitions per primitive (default 16)", reps)
+        .machines("machines to count (default: the five Table 1 "
+                  "machines)",
+                  machine_ids)
+        .number("--min-explained", "PCT",
+                "fail below PCT% explained (default 95)", min_explained,
+                0, 100)
+        .jobs(jobs)
+        .toggle("--kernel-windows",
+                "reconcile Table 7 workload windows instead (one "
+                "machine; default R3000)",
+                kernel_windows);
+    if (auto rc = cli.parseOrExit(argc, argv))
+        return *rc;
+    std::vector<MachineDesc> machines;
+    for (MachineId id : machine_ids)
+        machines.push_back(makeMachine(id));
     ParallelRunner runner(jobs);
 
     if (kernel_windows) {
@@ -166,12 +99,9 @@ main(int argc, char **argv)
                             machineSlug(machine.id), kv.first.c_str(),
                             cycles, pct, ok ? "" : "  <-- FAILED");
         }
-        if (!json_path.empty()) {
-            if (!writeFile(json_path, doc.dump(1)))
-                return 2;
-            std::fprintf(stderr, "kernel windows -> %s\n",
-                         json_path.c_str());
-        }
+        if (!json_path.empty() &&
+            !writeOutput(json_path, doc.dump(1), "kernel windows"))
+            return 2;
         if (window_failures) {
             std::fprintf(stderr,
                          "%d workload window(s) outside the %.0f%% "
@@ -223,12 +153,10 @@ main(int argc, char **argv)
         std::printf("\n");
     }
 
-    if (!json_path.empty()) {
-        Json doc = buildCountersDoc(runs, reps);
-        if (!writeFile(json_path, doc.dump(1)))
-            return 2;
-        std::fprintf(stderr, "counters -> %s\n", json_path.c_str());
-    }
+    if (!json_path.empty() &&
+        !writeOutput(json_path, buildCountersDoc(runs, reps).dump(1),
+                     "counters"))
+        return 2;
 
     if (failed) {
         std::fprintf(stderr,

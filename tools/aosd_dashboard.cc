@@ -20,87 +20,15 @@
  */
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "sim/numeric_flags.hh"
+#include "sim/cli.hh"
 #include "sim/parallel/parallel_runner.hh"
 #include "sim/perfdb/perfdb.hh"
 #include "study/dashboard/dashboard.hh"
 
 using namespace aosd;
-
-namespace
-{
-
-void
-usage(const char *argv0)
-{
-    std::fprintf(
-        stderr,
-        "usage: %s --out DIR [inputs] [options]\n"
-        "inputs (each optional; its sections render as absent):\n"
-        "  --report path          report.json (aosd_report --json)\n"
-        "  --counters path        counters.json (aosd_counters "
-        "--json)\n"
-        "  --kernel-windows path  kernel_windows.json\n"
-        "                         (aosd_counters --kernel-windows)\n"
-        "  --profile path         profile.json (aosd_profile "
-        "--json)\n"
-        "  --spans path           spans.json (aosd_spans --json)\n"
-        "  --traffic path         traffic.json (aosd_traffic "
-        "--json);\n"
-        "                         repeatable, one per sweep\n"
-        "  --db path              perfdb.jsonl (aosd_trend ingest)\n"
-        "options:\n"
-        "  --out DIR              output directory (required)\n"
-        "  --jobs N               worker threads, at most 1024 "
-        "(default:\n"
-        "                         all cores; 1 = serial; output is\n"
-        "                         identical either way)\n"
-        "  --tol F                history rolling-band relative\n"
-        "                         tolerance (default 0.05)\n"
-        "  --baseline N           history rolling-band window\n"
-        "                         (default 20)\n"
-        "  --last N               sparkline points per metric\n"
-        "                         (default 50)\n"
-        "  --metrics-cap N        per-metric rows on the history "
-        "page\n"
-        "                         (default 400; 0 = unlimited)\n"
-        "  --filter list          comma-separated substring filter "
-        "for\n"
-        "                         history metrics\n"
-        "  --skip list            comma-separated substring skip "
-        "list\n",
-        argv0);
-}
-
-/** Parse `path` as JSON into `slot`; a truncated artifact must fail
- *  loudly, never render as a half-empty site. */
-bool
-loadDoc(const std::string &path, Json &slot, bool &present)
-{
-    std::ifstream in(path);
-    if (!in) {
-        std::fprintf(stderr, "cannot read %s\n", path.c_str());
-        return false;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    std::string error;
-    slot = Json::parse(buf.str(), &error);
-    if (slot.isNull() && !error.empty()) {
-        std::fprintf(stderr, "%s: %s\n", path.c_str(),
-                     error.c_str());
-        return false;
-    }
-    present = true;
-    return true;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -112,112 +40,67 @@ main(int argc, char **argv)
     unsigned jobs = ParallelRunner::defaultJobs();
     DashboardOptions opts;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto takesValue = [&](std::string &dst) {
-            if (i + 1 >= argc) {
-                usage(argv[0]);
-                return false;
-            }
-            dst = argv[++i];
-            return true;
-        };
-        std::string v;
-        if (arg == "--out") {
-            if (!takesValue(out_dir))
-                return 2;
-        } else if (arg == "--report") {
-            if (!takesValue(report_path))
-                return 2;
-        } else if (arg == "--counters") {
-            if (!takesValue(counters_path))
-                return 2;
-        } else if (arg == "--kernel-windows") {
-            if (!takesValue(kw_path))
-                return 2;
-        } else if (arg == "--profile") {
-            if (!takesValue(profile_path))
-                return 2;
-        } else if (arg == "--spans") {
-            if (!takesValue(spans_path))
-                return 2;
-        } else if (arg == "--traffic") {
-            if (!takesValue(v))
-                return 2;
-            traffic_paths.push_back(v);
-        } else if (arg == "--db") {
-            if (!takesValue(db_path))
-                return 2;
-        } else if (arg == "--jobs") {
-            if (!takesValue(v))
-                return 2;
-            if (!parseJobs(v, jobs))
-                return badFlag(argv[0], arg, v, jobsWant);
-        } else if (arg == "--tol") {
-            if (!takesValue(v))
-                return 2;
-            if (!parseNumber(v, opts.relTol) || opts.relTol < 0)
-                return badFlag(argv[0], arg, v, "a number >= 0");
-        } else if (arg == "--baseline") {
-            if (!takesValue(v))
-                return 2;
-            if (!parseCount(v, opts.baselineWindow))
-                return badFlag(argv[0], arg, v, "a whole number");
-        } else if (arg == "--last") {
-            if (!takesValue(v))
-                return 2;
-            if (!parseCount(v, opts.historyLast))
-                return badFlag(argv[0], arg, v, "a whole number");
-        } else if (arg == "--metrics-cap") {
-            if (!takesValue(v))
-                return 2;
-            if (!parseCount(v, opts.historyCap))
-                return badFlag(argv[0], arg, v, "a whole number");
-        } else if (arg == "--filter") {
-            if (!takesValue(opts.historyFilter))
-                return 2;
-        } else if (arg == "--skip") {
-            if (!takesValue(opts.historySkip))
-                return 2;
-        } else if (arg == "--help" || arg == "-h") {
-            usage(argv[0]);
-            return 0;
-        } else {
-            usage(argv[0]);
-            return 2;
-        }
-    }
+    Cli cli("--out DIR [inputs] [options]");
+    cli.text("--report", "path", "report.json (aosd_report --json)",
+             report_path)
+        .text("--counters", "path", "counters.json (aosd_counters --json)",
+              counters_path)
+        .text("--kernel-windows", "path",
+              "kernel_windows.json (aosd_counters --kernel-windows)",
+              kw_path)
+        .text("--profile", "path", "profile.json (aosd_profile --json)",
+              profile_path)
+        .text("--spans", "path", "spans.json (aosd_spans --json)",
+              spans_path)
+        .text("--traffic", "path",
+               "traffic.json (aosd_traffic --json), one per sweep",
+               traffic_paths)
+        .text("--db", "path", "perfdb.jsonl (aosd_trend ingest)", db_path)
+        .text("--out", "DIR", "output directory (required)", out_dir)
+        .jobs(jobs)
+        .number("--tol", "F",
+                "history rolling-band relative tolerance (default 0.05)",
+                opts.relTol, 0)
+        .whole("--baseline", "N",
+               "history rolling-band window (default 20)",
+               opts.baselineWindow)
+        .whole("--last", "N", "sparkline points per metric (default 50)",
+               opts.historyLast)
+        .whole("--metrics-cap", "N",
+               "per-metric rows on the history page (default 400; 0 = "
+               "unlimited)",
+               opts.historyCap)
+        .text("--filter", "list",
+              "comma-separated substring filter for history metrics",
+              opts.historyFilter)
+        .text("--skip", "list",
+              "comma-separated substring skip list for history metrics",
+              opts.historySkip);
+    if (auto rc = cli.parseOrExit(argc, argv))
+        return *rc;
     if (out_dir.empty()) {
-        usage(argv[0]);
+        std::fprintf(stderr, "%s: --out is required\n", argv[0]);
         return 2;
     }
 
+    // A given input must parse: a truncated artifact fails loudly,
+    // never renders as a half-empty site.
+    DashboardInputs in;
     Json report, counters, kernel_windows, profile, spans;
-    bool has_report = false, has_counters = false, has_kw = false,
-         has_profile = false, has_spans = false;
     std::vector<Json> traffic(traffic_paths.size());
-    if (!report_path.empty() &&
-        !loadDoc(report_path, report, has_report))
-        return 1;
-    if (!counters_path.empty() &&
-        !loadDoc(counters_path, counters, has_counters))
-        return 1;
-    if (!kw_path.empty() && !loadDoc(kw_path, kernel_windows, has_kw))
-        return 1;
-    if (!profile_path.empty() &&
-        !loadDoc(profile_path, profile, has_profile))
-        return 1;
-    if (!spans_path.empty() &&
-        !loadDoc(spans_path, spans, has_spans))
+    if (!readJsonFile(report_path, report, in.report) ||
+        !readJsonFile(counters_path, counters, in.counters) ||
+        !readJsonFile(kw_path, kernel_windows, in.kernelWindows) ||
+        !readJsonFile(profile_path, profile, in.profile) ||
+        !readJsonFile(spans_path, spans, in.spans))
         return 1;
     for (std::size_t i = 0; i < traffic_paths.size(); ++i) {
-        bool ok = false;
-        if (!loadDoc(traffic_paths[i], traffic[i], ok))
+        if (!readJsonFile(traffic_paths[i], traffic[i]))
             return 1;
+        in.traffic.push_back(&traffic[i]);
     }
 
     PerfDb db;
-    bool has_db = false;
     if (!db_path.empty()) {
         std::string error;
         if (!db.load(db_path, &error)) {
@@ -225,24 +108,8 @@ main(int argc, char **argv)
                          error.c_str());
             return 1;
         }
-        has_db = true;
-    }
-
-    DashboardInputs in;
-    if (has_report)
-        in.report = &report;
-    if (has_counters)
-        in.counters = &counters;
-    if (has_kw)
-        in.kernelWindows = &kernel_windows;
-    if (has_profile)
-        in.profile = &profile;
-    if (has_spans)
-        in.spans = &spans;
-    for (const Json &t : traffic)
-        in.traffic.push_back(&t);
-    if (has_db)
         in.db = &db;
+    }
 
     ParallelRunner runner(jobs);
     DashboardSite site = buildDashboardSite(in, opts, runner);

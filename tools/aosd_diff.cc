@@ -31,59 +31,14 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
+#include <vector>
 
-#include "sim/json.hh"
+#include "sim/cli.hh"
 #include "sim/numeric_flags.hh"
 #include "study/perfdiff.hh"
 
 using namespace aosd;
-
-namespace
-{
-
-void
-usage(const char *argv0)
-{
-    std::fprintf(
-        stderr,
-        "usage: %s [--tol REL] [--abs ABS] [--tol-key KEY=REL]...\n"
-        "          [--all] [--top N] old.json new.json\n"
-        "  --tol REL  relative tolerance (default 0.01 = 1%%)\n"
-        "  --abs ABS  absolute slack for near-zero values "
-        "(default 1e-9)\n"
-        "  --tol-key KEY=REL\n"
-        "             relative tolerance for leaves whose last dotted\n"
-        "             segment is KEY (e.g. 'p999=0.10'; repeatable;\n"
-        "             first match wins)\n"
-        "  --all      also print paths within tolerance\n"
-        "  --top N    print at most N regressions (0 = all, the "
-        "default)\n",
-        argv0);
-}
-
-bool
-loadJson(const char *path, Json &out)
-{
-    std::ifstream in(path);
-    if (!in) {
-        std::fprintf(stderr, "cannot read %s\n", path);
-        return false;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    std::string error;
-    out = Json::parse(buf.str(), &error);
-    if (out.isNull() && !error.empty()) {
-        std::fprintf(stderr, "%s: %s\n", path, error.c_str());
-        return false;
-    }
-    return true;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -93,66 +48,41 @@ main(int argc, char **argv)
     KeyTolerances key_tols;
     bool show_all = false;
     std::size_t top = 0;
-    const char *old_path = nullptr;
-    const char *new_path = nullptr;
+    std::vector<std::string> files;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto value = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                usage(argv[0]);
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--tol") {
-            std::string v = value();
-            if (!parseNumber(v, rel_tol) || rel_tol < 0)
-                return badFlag(argv[0], arg, v, "a number >= 0");
-        } else if (arg == "--abs") {
-            std::string v = value();
-            if (!parseNumber(v, abs_tol) || abs_tol < 0)
-                return badFlag(argv[0], arg, v, "a number >= 0");
-        } else if (arg == "--tol-key") {
-            std::string spec = value();
-            std::size_t eq = spec.find('=');
-            if (eq == std::string::npos || eq == 0 ||
-                eq + 1 >= spec.size()) {
-                std::fprintf(stderr,
-                             "--tol-key wants KEY=REL, got '%s'\n",
-                             spec.c_str());
-                return 2;
-            }
-            double tol = 0;
-            if (!parseNumber(spec.substr(eq + 1), tol) || tol < 0)
-                return badFlag(argv[0], arg, spec,
-                               "KEY=REL with REL a number >= 0");
-            key_tols.emplace_back(spec.substr(0, eq), tol);
-        } else if (arg == "--all") {
-            show_all = true;
-        } else if (arg == "--top") {
-            std::string v = value();
-            if (!parseCount(v, top))
-                return badFlag(argv[0], arg, v, "a whole number");
-        } else if (arg == "--help" || arg == "-h") {
-            usage(argv[0]);
-            return 0;
-        } else if (!old_path) {
-            old_path = argv[i];
-        } else if (!new_path) {
-            new_path = argv[i];
-        } else {
-            usage(argv[0]);
-            return 2;
-        }
-    }
-    if (!old_path || !new_path) {
-        usage(argv[0]);
+    Cli cli("[options] old.json new.json");
+    cli.number("--tol", "REL", "relative tolerance (default 0.01 = 1%)",
+               rel_tol, 0)
+        .number("--abs", "ABS",
+                "absolute slack for near-zero values (default 1e-9)",
+                abs_tol, 0)
+        .keyValue("--tol-key", "KEY=REL",
+                  "relative tolerance for leaves whose last dotted "
+                  "segment is KEY (e.g. 'p999=0.10'; first match wins)",
+                  "KEY=REL with REL a number >= 0",
+                  [&key_tols](const std::string &key,
+                              const std::string &rel) {
+                      double tol = 0;
+                      if (!parseNumber(rel, tol) || tol < 0)
+                          return false;
+                      key_tols.emplace_back(key, tol);
+                      return true;
+                  })
+        .toggle("--all", "also print paths within tolerance", show_all)
+        .whole("--top", "N",
+               "print at most N regressions (0 = all, the default)", top)
+        .positionals(files, 2);
+    if (auto rc = cli.parseOrExit(argc, argv))
+        return *rc;
+    if (files.size() != 2) {
+        std::fprintf(stderr, "%s: wants two files, old.json new.json\n",
+                     argv[0]);
         return 2;
     }
 
     Json old_doc, new_doc;
-    if (!loadJson(old_path, old_doc) || !loadJson(new_path, new_doc))
+    if (!readJsonFile(files[0], old_doc) ||
+        !readJsonFile(files[1], new_doc))
         return 2;
 
     PerfDiff diff =

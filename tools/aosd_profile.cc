@@ -20,12 +20,11 @@
  */
 
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "arch/machines.hh"
-#include "sim/numeric_flags.hh"
+#include "sim/cli.hh"
 #include "sim/parallel/parallel_runner.hh"
 #include "study/profile_report.hh"
 
@@ -33,37 +32,6 @@ using namespace aosd;
 
 namespace
 {
-
-void
-usage(const char *argv0)
-{
-    std::fprintf(
-        stderr,
-        "usage: %s [--json path] [--folded path] [--reps N]\n"
-        "          [--machines SLUG[,SLUG...]] [--jobs N]\n"
-        "  --json path      write profile.json\n"
-        "  --folded path    write collapsed stacks (flamegraph input)\n"
-        "  --reps N         repetitions per primitive (default 16)\n"
-        "  --machines list  comma-separated machine slugs\n"
-        "                   (default: the five Table 1 machines)\n"
-        "  --jobs N         worker threads, at most 1024 (default: all\n"
-        "                   cores; 1 = serial; output is identical\n"
-        "                   either way)\n",
-        argv0);
-}
-
-bool
-writeFile(const std::string &path, const std::string &content)
-{
-    std::ofstream out(path);
-    if (!out) {
-        std::fprintf(stderr, "cannot open %s for writing\n",
-                     path.c_str());
-        return false;
-    }
-    out << content;
-    return true;
-}
 
 void
 printTree(const Json &node, const std::string &name, int depth,
@@ -85,9 +53,10 @@ printTree(const Json &node, const std::string &name, int depth,
                     static_cast<unsigned long long>(
                         node.at("p99_cycles").asUint()));
     std::printf("\n");
-    for (const auto &[child_name, child] :
-         node.at("children").items())
-        printTree(child, child_name, depth + 1, total);
+    // A leaf's JSON carries no "children" key.
+    if (const Json *children = node.find("children"))
+        for (const auto &[child_name, child] : children->items())
+            printTree(child, child_name, depth + 1, total);
 }
 
 } // namespace
@@ -99,50 +68,22 @@ main(int argc, char **argv)
     std::string folded_path;
     unsigned reps = 16;
     unsigned jobs = ParallelRunner::defaultJobs();
-    std::vector<MachineDesc> machines;
+    std::vector<MachineId> machine_ids;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto value = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                usage(argv[0]);
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--json") {
-            json_path = value();
-        } else if (arg == "--folded") {
-            folded_path = value();
-        } else if (arg == "--reps") {
-            std::string v = value();
-            if (!parseReps(v, reps))
-                return badFlag(argv[0], arg, v, repsWant);
-        } else if (arg == "--jobs") {
-            std::string v = value();
-            if (!parseJobs(v, jobs))
-                return badFlag(argv[0], arg, v, jobsWant);
-        } else if (arg == "--machines") {
-            std::string list = value();
-            std::size_t pos = 0;
-            while (pos <= list.size()) {
-                std::size_t comma = list.find(',', pos);
-                if (comma == std::string::npos)
-                    comma = list.size();
-                std::string slug = list.substr(pos, comma - pos);
-                if (!slug.empty())
-                    machines.push_back(
-                        makeMachine(machineFromSlug(slug)));
-                pos = comma + 1;
-            }
-        } else if (arg == "--help" || arg == "-h") {
-            usage(argv[0]);
-            return 0;
-        } else {
-            usage(argv[0]);
-            return 2;
-        }
-    }
+    Cli cli;
+    cli.text("--json", "path", "write profile.json", json_path)
+        .text("--folded", "path",
+              "write collapsed stacks (flamegraph input)", folded_path)
+        .reps("repetitions per primitive (default 16)", reps)
+        .machines("machines to profile (default: the five Table 1 "
+                  "machines)",
+                  machine_ids)
+        .jobs(jobs);
+    if (auto rc = cli.parseOrExit(argc, argv))
+        return *rc;
+    std::vector<MachineDesc> machines;
+    for (MachineId id : machine_ids)
+        machines.push_back(makeMachine(id));
     if (machines.empty())
         machines = table1Machines();
 
@@ -189,17 +130,12 @@ main(int argc, char **argv)
         }
     }
 
-    if (!json_path.empty()) {
-        if (!writeFile(json_path, doc.dump(1)))
-            return 2;
-        std::fprintf(stderr, "profile -> %s\n", json_path.c_str());
-    }
-    if (!folded_path.empty()) {
-        if (!writeFile(folded_path, foldedStacks(runs)))
-            return 2;
-        std::fprintf(stderr, "folded stacks -> %s\n",
-                     folded_path.c_str());
-    }
+    if (!json_path.empty() &&
+        !writeOutput(json_path, doc.dump(1), "profile"))
+        return 2;
+    if (!folded_path.empty() &&
+        !writeOutput(folded_path, foldedStacks(runs), "folded stacks"))
+        return 2;
 
     if (incomplete) {
         std::fprintf(stderr,

@@ -31,12 +31,10 @@
  */
 
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <string>
 
+#include "sim/cli.hh"
 #include "sim/logging.hh"
-#include "sim/numeric_flags.hh"
 #include "sim/parallel/parallel_runner.hh"
 #include "sim/stats.hh"
 #include "sim/table.hh"
@@ -50,42 +48,6 @@ using namespace aosd;
 
 namespace
 {
-
-void
-usage(const char *argv0)
-{
-    std::fprintf(
-        stderr,
-        "usage: %s [--json [path]] [--trace path] [--stats path]\n"
-        "          [--timeseries path] [--spans path] [--jobs N]\n"
-        "  --json [path]  write report.json (stdout when no path)\n"
-        "  --trace path   write a chrome://tracing timeline\n"
-        "                 (forces --jobs 1)\n"
-        "  --stats path   write a StatRegistry snapshot\n"
-        "  --timeseries path\n"
-        "                 sample the workloads and write\n"
-        "                 timeseries.json (per-interval event rates)\n"
-        "  --spans path   span-trace the request study and write\n"
-        "                 spans.json (latency percentiles, slowest-\n"
-        "                 request exemplars, tail attribution)\n"
-        "  --jobs N       worker threads, at most 1024 (default: all\n"
-        "                 cores; 1 = serial; report is identical either\n"
-        "                 way)\n",
-        argv0);
-}
-
-bool
-writeFile(const std::string &path, const std::string &content)
-{
-    std::ofstream out(path);
-    if (!out) {
-        std::fprintf(stderr, "cannot open %s for writing\n",
-                     path.c_str());
-        return false;
-    }
-    out << content;
-    return true;
-}
 
 void
 printTextSummary(const Json &report)
@@ -136,46 +98,27 @@ main(int argc, char **argv)
     std::string spans_path;
     unsigned jobs = ParallelRunner::defaultJobs();
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto takesValue = [&](std::string &dst) {
-            if (i + 1 >= argc) {
-                usage(argv[0]);
-                return false;
-            }
-            dst = argv[++i];
-            return true;
-        };
-        if (arg == "--json") {
-            json_out = true;
-            if (i + 1 < argc && argv[i + 1][0] != '-')
-                json_path = argv[++i];
-        } else if (arg == "--trace") {
-            if (!takesValue(trace_path))
-                return 2;
-        } else if (arg == "--stats") {
-            if (!takesValue(stats_path))
-                return 2;
-        } else if (arg == "--timeseries") {
-            if (!takesValue(timeseries_path))
-                return 2;
-        } else if (arg == "--spans") {
-            if (!takesValue(spans_path))
-                return 2;
-        } else if (arg == "--jobs") {
-            std::string jobs_arg;
-            if (!takesValue(jobs_arg))
-                return 2;
-            if (!parseJobs(jobs_arg, jobs))
-                return badFlag(argv[0], arg, jobs_arg, jobsWant);
-        } else if (arg == "--help" || arg == "-h") {
-            usage(argv[0]);
-            return 0;
-        } else {
-            usage(argv[0]);
-            return 2;
-        }
-    }
+    Cli cli;
+    cli.optionalText("--json", "path",
+                     "write report.json (stdout when no path)", json_out,
+                     json_path)
+        .text("--trace", "path",
+              "write a chrome://tracing timeline (forces --jobs 1)",
+              trace_path)
+        .text("--stats", "path", "write a StatRegistry snapshot",
+              stats_path)
+        .text("--timeseries", "path",
+              "sample the workloads and write timeseries.json "
+              "(per-interval event rates)",
+              timeseries_path)
+        .text("--spans", "path",
+              "span-trace the request study and write spans.json "
+              "(latency percentiles, slowest-request exemplars, tail "
+              "attribution)",
+              spans_path)
+        .jobs(jobs);
+    if (auto rc = cli.parseOrExit(argc, argv))
+        return *rc;
 
     if (!trace_path.empty() && jobs != 1) {
         std::fprintf(stderr,
@@ -194,20 +137,13 @@ main(int argc, char **argv)
         runner.setCollectStats(true);
     Json report = buildReport(runner);
 
-    if (!timeseries_path.empty()) {
-        Json ts = buildTimeseriesDoc(runner);
-        if (!writeFile(timeseries_path, ts.dump(1)))
-            return 1;
-        std::fprintf(stderr, "timeseries -> %s\n",
-                     timeseries_path.c_str());
-    }
-
-    if (!spans_path.empty()) {
-        Json spans = buildSpansDoc(runner);
-        if (!writeFile(spans_path, spans.dump(1)))
-            return 1;
-        std::fprintf(stderr, "spans -> %s\n", spans_path.c_str());
-    }
+    if (!timeseries_path.empty() &&
+        !writeOutput(timeseries_path, buildTimeseriesDoc(runner).dump(1),
+                     "timeseries"))
+        return 1;
+    if (!spans_path.empty() &&
+        !writeOutput(spans_path, buildSpansDoc(runner).dump(1), "spans"))
+        return 1;
 
     if (!trace_path.empty()) {
         Tracer::instance().disable();
@@ -221,22 +157,13 @@ main(int argc, char **argv)
                      trace_path.c_str());
     }
 
-    if (!stats_path.empty()) {
-        if (!writeFile(stats_path,
-                       StatRegistry::instance().toJson().dump(1)))
-            return 1;
-    }
+    if (!stats_path.empty() &&
+        !writeFile(stats_path, StatRegistry::instance().toJson().dump(1)))
+        return 1;
 
-    if (json_out) {
-        std::string doc = report.dump(1);
-        if (json_path.empty())
-            std::fputs(doc.c_str(), stdout);
-        else if (!writeFile(json_path, doc))
-            return 1;
-        else
-            std::fprintf(stderr, "report -> %s\n", json_path.c_str());
-    } else {
+    if (!json_out)
         printTextSummary(report);
-    }
+    else if (!writeOutput(json_path, report.dump(1), "report"))
+        return 1;
     return 0;
 }

@@ -30,13 +30,11 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "sim/json.hh"
+#include "sim/cli.hh"
 #include "sim/numeric_flags.hh"
 #include "sim/perfdb/perfdb.hh"
 #include "study/trend_report.hh"
@@ -45,80 +43,6 @@ using namespace aosd;
 
 namespace
 {
-
-void
-usage(const char *argv0)
-{
-    std::fprintf(
-        stderr,
-        "usage: %s <command> --db perfdb.jsonl [options]\n"
-        "commands:\n"
-        "  ingest   append one run's artifacts as a record\n"
-        "           --commit C --time T [--host H] [--flags F]\n"
-        "           [--report f] [--counters f] [--kernel-windows f]\n"
-        "           [--profile f] [--timeseries f] [--spans f]\n"
-        "           [--traffic f] [--bench suite=f]... [--replace]\n"
-        "  list     one line per record (--json for the metadata)\n"
-        "  metrics  every metric path ([--filter S] substring list)\n"
-        "  query    one metric's series + rolling stats\n"
-        "           --metric PATH [--last N] [--baseline N] [--json]\n"
-        "  check    flag metrics outside their rolling band; exit 1\n"
-        "           on any flag. [--tol 5%% | 0.05] [--baseline N]\n"
-        "           [--filter S] [--skip S] [--top N] [--json path]\n"
-        "  html     static dashboard [--out f] [--filter S]\n"
-        "           [--skip S] [--last N] [--tol ..] [--baseline N]\n"
-        "  export   print one stored document\n"
-        "           --record REF --doc NAME [--out f]\n"
-        "record REFs: an id, a commit (or unique prefix), 'latest',\n"
-        "or -N (N runs back)\n",
-        argv0);
-}
-
-bool
-loadJsonFile(const std::string &path, Json &out)
-{
-    std::ifstream in(path);
-    if (!in) {
-        std::fprintf(stderr, "cannot read %s\n", path.c_str());
-        return false;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    std::string error;
-    out = Json::parse(buf.str(), &error);
-    if (out.isNull() && !error.empty()) {
-        std::fprintf(stderr, "%s: %s\n", path.c_str(),
-                     error.c_str());
-        return false;
-    }
-    return true;
-}
-
-bool
-writeFile(const std::string &path, const std::string &content)
-{
-    std::ofstream out(path);
-    if (!out) {
-        std::fprintf(stderr, "cannot open %s for writing\n",
-                     path.c_str());
-        return false;
-    }
-    out << content;
-    return true;
-}
-
-/** "5%" -> 0.05, "0.05" -> 0.05. */
-bool
-parseTolerance(const std::string &arg, double &out)
-{
-    bool percent = !arg.empty() && arg.back() == '%';
-    double v = 0;
-    if (!parseNumber(percent ? arg.substr(0, arg.size() - 1) : arg, v) ||
-        v < 0)
-        return false;
-    out = percent ? v / 100.0 : v;
-    return true;
-}
 
 struct Args
 {
@@ -165,43 +89,16 @@ cmdIngest(const Args &a)
     Json report, counters, kw, profile, timeseries, spans, traffic;
     std::vector<Json> bench_docs(a.bench.size());
     PerfDbRecordInputs in;
-    if (!a.report.empty()) {
-        if (!loadJsonFile(a.report, report))
-            return 2;
-        in.report = &report;
-    }
-    if (!a.counters.empty()) {
-        if (!loadJsonFile(a.counters, counters))
-            return 2;
-        in.counters = &counters;
-    }
-    if (!a.kernelWindows.empty()) {
-        if (!loadJsonFile(a.kernelWindows, kw))
-            return 2;
-        in.kernelWindows = &kw;
-    }
-    if (!a.profile.empty()) {
-        if (!loadJsonFile(a.profile, profile))
-            return 2;
-        in.profile = &profile;
-    }
-    if (!a.timeseries.empty()) {
-        if (!loadJsonFile(a.timeseries, timeseries))
-            return 2;
-        in.timeseries = &timeseries;
-    }
-    if (!a.spans.empty()) {
-        if (!loadJsonFile(a.spans, spans))
-            return 2;
-        in.spans = &spans;
-    }
-    if (!a.traffic.empty()) {
-        if (!loadJsonFile(a.traffic, traffic))
-            return 2;
-        in.traffic = &traffic;
-    }
+    if (!readJsonFile(a.report, report, in.report) ||
+        !readJsonFile(a.counters, counters, in.counters) ||
+        !readJsonFile(a.kernelWindows, kw, in.kernelWindows) ||
+        !readJsonFile(a.profile, profile, in.profile) ||
+        !readJsonFile(a.timeseries, timeseries, in.timeseries) ||
+        !readJsonFile(a.spans, spans, in.spans) ||
+        !readJsonFile(a.traffic, traffic, in.traffic))
+        return 2;
     for (std::size_t i = 0; i < a.bench.size(); ++i) {
-        if (!loadJsonFile(a.bench[i].second, bench_docs[i]))
+        if (!readJsonFile(a.bench[i].second, bench_docs[i]))
             return 2;
         in.bench.emplace_back(a.bench[i].first, &bench_docs[i]);
     }
@@ -376,14 +273,7 @@ cmdHtml(const Args &a, const PerfDb &db)
     std::string html =
         renderTrendHtml(db, a.tol, a.baseline, a.filter, a.skip,
                         a.last == 0 ? 50 : a.last);
-    if (a.out.empty()) {
-        std::fputs(html.c_str(), stdout);
-        return 0;
-    }
-    if (!writeFile(a.out, html))
-        return 2;
-    std::fprintf(stderr, "dashboard -> %s\n", a.out.c_str());
-    return 0;
+    return writeOutput(a.out, html, "dashboard") ? 0 : 2;
 }
 
 int
@@ -415,14 +305,10 @@ cmdExport(const Args &a, const PerfDb &db)
         return 2;
     }
     std::string text = doc->dump(1);
-    if (a.out.empty()) {
-        std::printf("%s\n", text.c_str());
-        return 0;
-    }
-    if (!writeFile(a.out, text))
+    if (a.out.empty())
+        text += "\n";
+    if (!writeOutput(a.out, text, a.docName + " of " + rec->id()))
         return 2;
-    std::fprintf(stderr, "%s of %s -> %s\n", a.docName.c_str(),
-                 rec->id().c_str(), a.out.c_str());
     return 0;
 }
 
@@ -431,110 +317,85 @@ cmdExport(const Args &a, const PerfDb &db)
 int
 main(int argc, char **argv)
 {
-    if (argc < 2) {
-        usage(argv[0]);
-        return 2;
-    }
-
     Args a;
-    a.command = argv[1];
     // CI convenience: the commit is usually in the environment.
     a.commit = envOr("AOSD_COMMIT", envOr("GITHUB_SHA", ""));
     a.time = envOr("AOSD_TIME", "");
 
-    for (int i = 2; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto value = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                usage(argv[0]);
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--db") {
-            a.db = value();
-        } else if (arg == "--commit") {
-            a.commit = value();
-        } else if (arg == "--time") {
-            a.time = value();
-        } else if (arg == "--host") {
-            a.host = value();
-        } else if (arg == "--flags") {
-            a.flags = value();
-        } else if (arg == "--report") {
-            a.report = value();
-        } else if (arg == "--counters") {
-            a.counters = value();
-        } else if (arg == "--kernel-windows") {
-            a.kernelWindows = value();
-        } else if (arg == "--profile") {
-            a.profile = value();
-        } else if (arg == "--timeseries") {
-            a.timeseries = value();
-        } else if (arg == "--spans") {
-            a.spans = value();
-        } else if (arg == "--traffic") {
-            a.traffic = value();
-        } else if (arg == "--bench") {
-            std::string spec = value();
-            std::size_t eq = spec.find('=');
-            if (eq == std::string::npos || eq == 0 ||
-                eq + 1 == spec.size()) {
-                std::fprintf(stderr,
-                             "--bench wants suite=path, got %s\n",
-                             spec.c_str());
-                return 2;
-            }
-            a.bench.emplace_back(spec.substr(0, eq),
-                                 spec.substr(eq + 1));
-        } else if (arg == "--replace") {
-            a.replace = true;
-        } else if (arg == "--metric") {
-            a.metric = value();
-        } else if (arg == "--filter") {
-            a.filter = value();
-        } else if (arg == "--skip") {
-            a.skip = value();
-        } else if (arg == "--record") {
-            a.record = value();
-        } else if (arg == "--doc") {
-            a.docName = value();
-        } else if (arg == "--out") {
-            a.out = value();
-        } else if (arg == "--json") {
-            a.json = true;
-            if (i + 1 < argc && argv[i + 1][0] != '-')
-                a.jsonPath = argv[++i];
-        } else if (arg == "--tol") {
-            std::string v = value();
-            if (!parseTolerance(v, a.tol))
-                return badFlag(argv[0], arg, v, "e.g. 5% or 0.05");
-        } else if (arg == "--last") {
-            std::string v = value();
-            if (!parseCount(v, a.last))
-                return badFlag(argv[0], arg, v, "a whole number");
-        } else if (arg == "--baseline") {
-            std::string v = value();
-            if (!parseCount(v, a.baseline) || a.baseline == 0)
-                return badFlag(argv[0], arg, v, "a whole number >= 1");
-        } else if (arg == "--top") {
-            std::string v = value();
-            if (!parseCount(v, a.top))
-                return badFlag(argv[0], arg, v, "a whole number");
-        } else if (arg == "--help" || arg == "-h") {
-            usage(argv[0]);
-            return 0;
-        } else {
-            usage(argv[0]);
-            return 2;
-        }
-    }
-
-    if (a.command == "--help" || a.command == "-h" ||
-        a.command == "help") {
-        usage(argv[0]);
-        return 0;
-    }
+    Cli cli("<command> --db perfdb.jsonl [options]");
+    cli.command(a.command,
+                {{"ingest", "append one run's artifacts as a record"},
+                 {"list", "one line per record (--json for the metadata)"},
+                 {"metrics", "every metric path"},
+                 {"query", "one metric's series and rolling stats"},
+                 {"check",
+                  "flag metrics outside their rolling band; exit 1 on "
+                  "any flag"},
+                 {"html", "static dashboard"},
+                 {"export", "print one stored document"}})
+        .text("--db", "path", "the perf database (required)", a.db)
+        .text("--commit", "C",
+              "ingest: the record's commit (default $AOSD_COMMIT, else "
+              "$GITHUB_SHA)",
+              a.commit)
+        .text("--time", "T",
+              "ingest: the record's timestamp (default $AOSD_TIME)",
+              a.time)
+        .text("--host", "H", "ingest: host label", a.host)
+        .text("--flags", "F", "ingest: build-flags label", a.flags)
+        .text("--report", "f", "ingest: report.json", a.report)
+        .text("--counters", "f", "ingest: counters.json", a.counters)
+        .text("--kernel-windows", "f", "ingest: kernel_windows.json",
+              a.kernelWindows)
+        .text("--profile", "f", "ingest: profile.json", a.profile)
+        .text("--timeseries", "f", "ingest: timeseries.json",
+              a.timeseries)
+        .text("--spans", "f", "ingest: spans.json", a.spans)
+        .text("--traffic", "f", "ingest: traffic.json", a.traffic)
+        .keyValue("--bench", "suite=f",
+                  "ingest: a google-benchmark document", "suite=path",
+                  [&a](const std::string &suite, const std::string &f) {
+                      a.bench.emplace_back(suite, f);
+                      return true;
+                  })
+        .toggle("--replace", "ingest: supersede a recorded commit",
+                a.replace)
+        .text("--metric", "PATH", "query: the metric", a.metric)
+        .text("--filter", "S", "metrics, check, html: substring list",
+              a.filter)
+        .text("--skip", "S", "check, html: substring skip list", a.skip)
+        .text("--record", "REF",
+              "export: an id, a commit (or unique prefix), 'latest', or "
+              "-N (N runs back)",
+              a.record)
+        .text("--doc", "NAME", "export: the stored document", a.docName)
+        .text("--out", "f", "html, export: write to f, not stdout", a.out)
+        .optionalText("--json", "path",
+                      "list, query: JSON to stdout; check: also write "
+                      "the result to path",
+                      a.json, a.jsonPath)
+        .value("--tol", "TOL",
+               "check, html: rolling-band tolerance, 5% or 0.05 "
+               "(default 5%)",
+               "e.g. 5% or 0.05",
+               [&a](std::string v) {
+                   bool percent = !v.empty() && v.back() == '%';
+                   if (percent)
+                       v.pop_back();
+                   double t = 0;
+                   if (!parseNumber(v, t) || t < 0)
+                       return false;
+                   a.tol = percent ? t / 100.0 : t;
+                   return true;
+               })
+        .whole("--last", "N", "query, html: points shown", a.last)
+        .whole("--baseline", "N",
+               "query, check, html: rolling-band window (default 20)",
+               a.baseline, 1)
+        .whole("--top", "N", "check: flags printed (default 20, 0 = all)",
+               a.top);
+    if (auto rc = cli.parseOrExit(argc, argv))
+        return *rc;
     if (a.db.empty()) {
         std::fprintf(stderr, "--db is required\n");
         return 2;
@@ -561,10 +422,5 @@ main(int argc, char **argv)
         return cmdCheck(a, db);
     if (a.command == "html")
         return cmdHtml(a, db);
-    if (a.command == "export")
-        return cmdExport(a, db);
-
-    std::fprintf(stderr, "unknown command: %s\n", a.command.c_str());
-    usage(argv[0]);
-    return 2;
+    return cmdExport(a, db);
 }
