@@ -23,54 +23,6 @@ Tlb::Tlb(const TlbDesc &d)
     bucketShift = 64 - static_cast<unsigned>(std::countr_zero(n));
 }
 
-/** Unlink a valid entry from its bucket's chain. */
-void
-Tlb::unchain(std::uint32_t slot)
-{
-    const Entry &e = entries[slot];
-    std::uint32_t *link = &buckets[bucketOf(e.vpn, e.asid)];
-    while (*link != slot)
-        link = &entries[*link].chain;
-    *link = e.chain;
-}
-
-std::uint32_t
-Tlb::claim(std::uint32_t bucket)
-{
-    // Prefer an invalid entry; otherwise evict the LRU unlocked one.
-    std::uint32_t slot = npos;
-    if (!freeSlots.empty()) {
-        slot = freeSlots.back();
-        freeSlots.pop_back();
-    } else {
-        for (slot = lruTail; slot != npos && entries[slot].locked;)
-            slot = entries[slot].lruPrev;
-        if (slot == npos)
-            panic("all TLB entries locked");
-        unchain(slot);
-        lruUnlink(slot);
-    }
-    entries[slot].chain = buckets[bucket];
-    buckets[bucket] = slot;
-    lruPushHead(slot);
-    return slot;
-}
-
-void
-Tlb::fill(std::uint32_t slot, Vpn vpn, Asid tag, Pfn pfn, PageProt prot,
-          bool locked)
-{
-    Entry &e = entries[slot];
-    e.vpn = vpn;
-    e.pfn = pfn;
-    e.asid = tag;
-    e.prot = prot;
-    e.valid = true;
-    e.locked = locked;
-    if (tracerEnabled())
-        Tracer::instance().instant(TraceEvent::TlbFill, "tlb_fill", vpn);
-}
-
 /** Drop a valid entry: de-index, unlink, free its slot. */
 void
 Tlb::dropEntry(std::uint32_t slot)
@@ -78,56 +30,45 @@ Tlb::dropEntry(std::uint32_t slot)
     unchain(slot);
     lruUnlink(slot);
     freeSlots.push_back(slot);
+    lockedCount -= entries[slot].locked;
     entries[slot].valid = false;
     entries[slot].locked = false;
 }
 
-TlbLookup
-Tlb::lookupMiss(std::uint32_t bucket, bool kernel_space)
+void
+Tlb::traceMiss(Cycles cost, bool kernel_space)
 {
-    Cycles cost;
-    if (desc.management == TlbManagement::Hardware) {
-        cost = desc.hwMissCycles;
-    } else {
-        cost = kernel_space ? desc.swKernelMissCycles
-                            : desc.swUserMissCycles;
-    }
-    countEvent(HwCounter::TlbMisses);
-    countEvent(HwCounter::TlbRefillCycles, cost);
-    if (tracerEnabled()) {
-        Tracer::instance().instant(TraceEvent::TlbMiss,
-                                   kernel_space ? "tlb_miss_kernel"
-                                                : "tlb_miss_user",
-                                   cost);
-        Tracer::instance().counter(
-            "tlb_misses",
-            HwCounters::instance().value(HwCounter::TlbMisses));
-    }
-    return {false, 0, {}, cost, bucket};
+    Tracer::instance().instant(TraceEvent::TlbMiss,
+                               kernel_space ? "tlb_miss_kernel"
+                                            : "tlb_miss_user",
+                               cost);
+    Tracer::instance().counter(
+        "tlb_misses", HwCounters::instance().value(HwCounter::TlbMisses));
+}
+
+void
+Tlb::traceFill(Vpn vpn)
+{
+    Tracer::instance().instant(TraceEvent::TlbFill, "tlb_fill", vpn);
 }
 
 void
 Tlb::insert(Vpn vpn, Asid asid, Pfn pfn, PageProt prot, bool locked)
 {
-    if (locked && desc.lockableEntries == 0)
-        fatal("TLB does not support locked entries");
     const Asid tag = tagFor(asid);
     const std::uint32_t b = bucketOf(vpn, tag);
     std::uint32_t slot = findSlot(vpn, tag, b);
+    const bool was_locked = slot != npos && entries[slot].locked;
+    if (locked && !was_locked && lockedCount == desc.lockableEntries)
+        fatal("TLB lock limit reached: %u lockable entries",
+              desc.lockableEntries);
     if (slot == npos)
         slot = claim(b);
     else
         lruTouch(slot);
+    lockedCount += locked;
+    lockedCount -= was_locked;
     fill(slot, vpn, tag, pfn, prot, locked);
-}
-
-void
-Tlb::refill(Vpn vpn, Asid asid, Pfn pfn, PageProt prot,
-            std::uint32_t fill_cell)
-{
-    const Asid tag = tagFor(asid);
-    fill(claim(fill_cell != npos ? fill_cell : bucketOf(vpn, tag)), vpn,
-         tag, pfn, prot, false);
 }
 
 void
@@ -153,6 +94,7 @@ Tlb::invalidateAll()
     }
     std::fill(buckets.begin(), buckets.end(), npos);
     lruHead = lruTail = npos;
+    lockedCount = 0;
     countEvent(HwCounter::TlbPurges);
     if (tracerEnabled())
         Tracer::instance().instant(TraceEvent::TlbPurge, "tlb_purge_all",

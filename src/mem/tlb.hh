@@ -19,7 +19,9 @@
 
 #include "arch/machine_desc.hh"
 #include "sim/counters/counters.hh"
+#include "sim/logging.hh"
 #include "sim/ticks.hh"
+#include "sim/trace.hh"
 
 namespace aosd
 {
@@ -51,9 +53,13 @@ struct TlbLookup
     /** Cycles the lookup cost (0 on a hit; refill cost on a miss —
      *  charged by the caller once the refill source is known). */
     Cycles missCycles = 0;
-    /** Index bucket the missing key hashed to: pass to refill() for
-     *  the same key to skip its hash. Meaningful only on a miss. */
-    std::uint32_t fillCell = ~0u;
+};
+
+/** The translation a Tlb::touch() refill installs. */
+struct TlbFill
+{
+    Pfn pfn = 0;
+    PageProt prot;
 };
 
 /**
@@ -61,17 +67,20 @@ struct TlbLookup
  * When the machine has no process-ID tags every entry belongs to the
  * single implicit context and switchContext() purges.
  *
- * Every operation is O(1) in the entry count (the workload engine
- * performs millions of lookups per Table 7 cell). A chained hash
- * index maps (vpn, tag) to its slot: `buckets` holds at least four
- * chain heads per entry and each valid entry links to the next entry
- * of its bucket, so erasing a key unlinks one link. An intrusive
- * recency list orders the valid entries, and a stack holds the
- * invalid slots. Replacement matches a linear scan over entries
- * stamped with their last use: the victim is an invalid entry, else
- * the least recently used unlocked entry. Which invalid slot a new
- * key takes is not observable (filling it evicts nothing), so the
- * stack need not hand out the scan's first invalid slot.
+ * lookup(), touch(), insert() and invalidate() are O(1) in the entry
+ * count, bar a walk past the locked entries at the LRU end (the
+ * workload engine performs up to 8M lookups per Table 7 cell);
+ * invalidateAll(), invalidateAsid() and entriesForAsid() are
+ * O(entries). A chained hash index maps (vpn, tag) to its slot:
+ * `buckets` holds at least four chain heads per entry and each valid
+ * entry links to the next entry of its bucket, so erasing a key
+ * unlinks one link. An intrusive recency list orders the valid
+ * entries, and a stack holds the invalid slots. Replacement matches a
+ * linear scan over entries stamped with their last use: the victim is
+ * an invalid entry, else the least recently used unlocked entry. Which
+ * invalid slot a new key takes is not observable (filling it evicts
+ * nothing), so the stack need not hand out the scan's first invalid
+ * slot.
  */
 class Tlb
 {
@@ -84,21 +93,23 @@ class Tlb
     [[gnu::always_inline]] TlbLookup lookup(Vpn vpn, Asid asid,
                                             bool kernel_space = false);
 
-    /** Insert or replace a translation. */
+    /**
+     * lookup() and, on a miss, the insert() of the missing key, with
+     * one hash and one probe. A hit updates recency and returns true.
+     * A miss is counted and traced as lookup() does, then calls
+     * `refill_from(cost)` once with its refill cycles (for the caller
+     * to charge) for the TlbFill to install, fills the victim's slot
+     * unlocked and returns false. `refill_from` must not use this TLB.
+     */
+    template <class RefillFrom>
+    [[gnu::always_inline]] bool touch(Vpn vpn, Asid asid,
+                                      bool kernel_space,
+                                      RefillFrom &&refill_from);
+
+    /** Insert or replace a translation. Locking a key that is not
+     *  locked already is fatal once `lockableEntries` are locked. */
     void insert(Vpn vpn, Asid asid, Pfn pfn, PageProt prot,
                 bool locked = false);
-
-    /** insert() for a translation the caller just observed missing
-     *  (the refill after a failed lookup): skips the present-already
-     *  probe. Identical observable behaviour to insert() with
-     *  locked=false for a non-present key; calling it for a key that
-     *  IS present corrupts the index.
-     *
-     *  `fill_cell`, when not ~0u, must be the TlbLookup::fillCell of
-     *  a failed lookup of the same key: the bucket the key hashes to,
-     *  which saves recomputing the hash. */
-    void refill(Vpn vpn, Asid asid, Pfn pfn, PageProt prot,
-                std::uint32_t fill_cell = ~0u);
 
     /** Invalidate a single translation if present. */
     void invalidate(Vpn vpn, Asid asid);
@@ -150,15 +161,44 @@ class Tlb
             bucketShift);
     }
 
-    /** Out-of-line miss bookkeeping (counters, tracer, cost
-     *  selection); the inline lookup() keeps only the hit path hot. */
-    TlbLookup lookupMiss(std::uint32_t bucket, bool kernel_space);
+    /** findSlot() plus a hit's recency update and count. */
+    std::uint32_t
+    probe(Vpn vpn, Asid tag, std::uint32_t bucket)
+    {
+        const std::uint32_t s = findSlot(vpn, tag, bucket);
+        if (s != npos) {
+            lruTouch(s);
+            countEvent(HwCounter::TlbHits);
+        }
+        return s;
+    }
+
+    /** Price a miss by management style and space, count it and trace
+     *  it; returns its refill cycles. */
+    Cycles
+    chargeMiss(bool kernel_space)
+    {
+        const Cycles cost =
+            desc.management == TlbManagement::Hardware ? desc.hwMissCycles
+            : kernel_space ? desc.swKernelMissCycles
+                           : desc.swUserMissCycles;
+        countEvent(HwCounter::TlbMisses);
+        countEvent(HwCounter::TlbRefillCycles, cost);
+        if (tracerEnabled())
+            traceMiss(cost, kernel_space);
+        return cost;
+    }
+
+    // The tracer calls, out of line so the hot paths stay small.
+    [[gnu::cold]] static void traceMiss(Cycles cost, bool kernel_space);
+    [[gnu::cold]] static void traceFill(Vpn vpn);
 
     std::uint32_t findSlot(Vpn vpn, Asid tag, std::uint32_t bucket) const;
 
     /** Take the victim's slot for a new key in `bucket`: evict what it
      *  held, link it into the bucket and make it most recent. */
-    std::uint32_t claim(std::uint32_t bucket);
+    [[gnu::always_inline]] std::uint32_t claim(std::uint32_t bucket);
+    /** Write a claimed slot's translation and trace the fill. */
     void fill(std::uint32_t slot, Vpn vpn, Asid tag, Pfn pfn,
               PageProt prot, bool locked);
     void unchain(std::uint32_t slot);
@@ -177,13 +217,14 @@ class Tlb
     std::uint32_t lruHead = npos;
     std::uint32_t lruTail = npos;
     std::vector<std::uint32_t> freeSlots; ///< the invalid slots
+    std::uint32_t lockedCount = 0;         ///< locked valid entries
 };
 
-// The lookup hit path is the single hottest loop in the workload
-// engine (tens of millions of calls per Table 7 cell), so it and the
-// helpers it touches live in the header and are forced inline at
-// every call site; everything rarer (miss bookkeeping, insert,
-// invalidation) stays out of line in tlb.cc.
+// touch() is the single hottest loop in the workload engine (8.0M
+// calls in the largest Table 7 cell, 18.4M per grid), so it and
+// lookup() are forced inline at every call site and the helpers they
+// use live in the header; everything rarer (insert, invalidation,
+// tracing) stays out of line in tlb.cc.
 
 inline void
 Tlb::lruPushHead(std::uint32_t slot)
@@ -224,17 +265,75 @@ Tlb::findSlot(Vpn vpn, Asid tag, std::uint32_t bucket) const
     return s;
 }
 
+/** Unlink a valid entry from its bucket's chain. */
+inline void
+Tlb::unchain(std::uint32_t slot)
+{
+    const Entry &e = entries[slot];
+    std::uint32_t *link = &buckets[bucketOf(e.vpn, e.asid)];
+    while (*link != slot)
+        link = &entries[*link].chain;
+    *link = e.chain;
+}
+
+inline std::uint32_t
+Tlb::claim(std::uint32_t bucket)
+{
+    // Prefer an invalid entry; otherwise evict the LRU unlocked one.
+    std::uint32_t slot = npos;
+    if (!freeSlots.empty()) {
+        slot = freeSlots.back();
+        freeSlots.pop_back();
+    } else {
+        for (slot = lruTail; slot != npos && entries[slot].locked;)
+            slot = entries[slot].lruPrev;
+        if (slot == npos)
+            panic("all TLB entries locked");
+        unchain(slot);
+        lruUnlink(slot);
+    }
+    entries[slot].chain = buckets[bucket];
+    buckets[bucket] = slot;
+    lruPushHead(slot);
+    return slot;
+}
+
+inline void
+Tlb::fill(std::uint32_t slot, Vpn vpn, Asid tag, Pfn pfn, PageProt prot,
+          bool locked)
+{
+    Entry &e = entries[slot];
+    e.vpn = vpn;
+    e.pfn = pfn;
+    e.asid = tag;
+    e.prot = prot;
+    e.valid = true;
+    e.locked = locked;
+    if (tracerEnabled())
+        traceFill(vpn);
+}
+
 inline TlbLookup
 Tlb::lookup(Vpn vpn, Asid asid, bool kernel_space)
 {
     const Asid tag = tagFor(asid);
-    const std::uint32_t b = bucketOf(vpn, tag);
-    const std::uint32_t s = findSlot(vpn, tag, b);
+    const std::uint32_t s = probe(vpn, tag, bucketOf(vpn, tag));
     if (s == npos)
-        return lookupMiss(b, kernel_space);
-    lruTouch(s);
-    countEvent(HwCounter::TlbHits);
+        return {false, 0, {}, chargeMiss(kernel_space)};
     return {true, entries[s].pfn, entries[s].prot, 0};
+}
+
+template <class RefillFrom>
+inline bool
+Tlb::touch(Vpn vpn, Asid asid, bool kernel_space, RefillFrom &&refill_from)
+{
+    const Asid tag = tagFor(asid);
+    const std::uint32_t b = bucketOf(vpn, tag);
+    if (probe(vpn, tag, b) != npos)
+        return true;
+    const TlbFill f = refill_from(chargeMiss(kernel_space));
+    fill(claim(b), vpn, tag, f.pfn, f.prot, false);
+    return false;
 }
 
 } // namespace aosd

@@ -519,51 +519,42 @@ SimKernel::touchPages(const std::vector<Vpn> &pages, bool kernel_space)
     if (tracing)
         Tracer::instance().setCycle(cycleCount);
     const Asid asid = space.asid();
+    // A miss's refill cycles land before its fill, so a traced
+    // tlb_fill carries the cycle after the refill.
+    auto charge = [&](Cycles c, const char *leaf, std::uint64_t *stat) {
+        cycleCount += c;
+        primCycles += c;
+        if (profiling)
+            Profiler::instance().addLeafCycles(leaf, c);
+        if (tracing)
+            Tracer::instance().setCycle(cycleCount);
+        ++*stat;
+    };
     std::uint64_t *miss_stat =
         kernel_space ? statKernelTlbMisses : statUserTlbMisses;
     const char *miss_leaf = kernel_space ? "miss_kernel" : "miss_user";
     for (Vpn vpn : pages) {
-        TlbLookup r = tlbModel.lookup(vpn, asid, kernel_space);
-        if (!r.hit) {
-            const Cycles mc = r.missCycles;
-            cycleCount += mc;
-            primCycles += mc;
-            if (profiling)
-                Profiler::instance().addLeafCycles(miss_leaf, mc);
-            if (tracing)
-                Tracer::instance().setCycle(cycleCount);
-            ++*miss_stat;
-            const Pte *walked = space.translate(vpn);
-            Pte pte =
-                walked ? *walked : Pte{vpn, {}, false, false, false};
-            tlbModel.refill(vpn, asid, pte.pfn, pte.prot, r.fillCell);
-            // Refilling from a *mapped* page table makes the walk
-            // itself reference kernel space: possible second-level
-            // miss (s5: "Page tables, for instance, remain mapped in
-            // kernel mode; TLB entries are needed to map the page
-            // tables themselves").
-            if (!kernel_space) {
-                // Each address space has its own kernel-mapped table
-                // pages; more spaces means more table pages competing
-                // for TLB entries.
-                Vpn table_page = 0x800 + asid + ((vpn >> 10) % 2);
-                TlbLookup k =
-                    tlbModel.lookup(table_page, 0, true);
-                if (!k.hit) {
-                    const Cycles kc = k.missCycles;
-                    cycleCount += kc;
-                    primCycles += kc;
-                    if (profiling)
-                        Profiler::instance().addLeafCycles(
-                            "miss_page_table", kc);
-                    if (tracing)
-                        Tracer::instance().setCycle(cycleCount);
-                    ++*statKernelTlbMisses;
-                    tlbModel.refill(table_page, 0, table_page, {},
-                                    k.fillCell);
-                }
-            }
-        }
+        const bool hit =
+            tlbModel.touch(vpn, asid, kernel_space, [&](Cycles c) {
+                charge(c, miss_leaf, miss_stat);
+                const Pte *walked = space.translate(vpn);
+                return walked ? TlbFill{walked->pfn, walked->prot}
+                              : TlbFill{vpn, {}};
+            });
+        // Refilling from a *mapped* page table makes the walk itself
+        // reference kernel space: possible second-level miss (s5:
+        // "Page tables, for instance, remain mapped in kernel mode;
+        // TLB entries are needed to map the page tables themselves").
+        if (hit || kernel_space)
+            continue;
+        // Each address space has its own kernel-mapped table pages;
+        // more spaces means more table pages competing for TLB
+        // entries.
+        const Vpn table_page = 0x800 + asid + ((vpn >> 10) % 2);
+        tlbModel.touch(table_page, 0, true, [&](Cycles c) {
+            charge(c, "miss_page_table", statKernelTlbMisses);
+            return TlbFill{table_page, {}};
+        });
     }
     if (cycleCount > span_start)
         spanLeaf("tlb_refill", cycleCount - span_start);

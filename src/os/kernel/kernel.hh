@@ -166,7 +166,10 @@ class SimKernel
      * Touch pages in the current space through the TLB, charging
      * refill costs on misses. `kernel_space` selects the slow
      * software-refill path (mapped kernel data) and counts toward
-     * kernel TLB misses.
+     * kernel TLB misses. Each page is one Tlb::touch() probe: a miss
+     * charges its refill cycles and walks the page table inside the
+     * refill callback, and a user miss then touches the kernel-mapped
+     * page-table page the walk read, a second probe that may miss.
      */
     void touchPages(const std::vector<Vpn> &pages, bool kernel_space);
 

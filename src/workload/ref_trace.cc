@@ -27,18 +27,18 @@ runRefTrace(const MachineDesc &machine, const RefTraceConfig &cfg)
         static_cast<double>(cfg.switchesPerMillion) / 1e6;
 
     auto touch = [&](Vpn vpn, Asid asid, bool system) {
-        TlbLookup look = tlb.lookup(vpn, asid, system);
-        r.cycles += 1 + look.missCycles;
+        ++r.cycles;
+        const bool hit = tlb.touch(vpn, asid, system, [&](Cycles c) {
+            r.cycles += c;
+            refill_cycles += c;
+            return TlbFill{vpn, {}};
+        });
         if (system) {
             ++r.systemRefs;
-            r.systemMisses += !look.hit;
+            r.systemMisses += !hit;
         } else {
             ++r.userRefs;
-            r.userMisses += !look.hit;
-        }
-        if (!look.hit) {
-            refill_cycles += look.missCycles;
-            tlb.insert(vpn, asid, vpn, {});
+            r.userMisses += !hit;
         }
     };
 

@@ -175,6 +175,53 @@ TEST(TlbDeathTest, AllEntriesLockedPanics)
     EXPECT_DEATH(tlb.insert(3, 0, 3, {}), "locked");
 }
 
+TEST(TlbDeathTest, LockingPastTheLimitIsFatal)
+{
+    TlbDesc d = smallTagged(); // 4 entries, 2 lockable
+    Tlb tlb(d);
+    tlb.insert(1, 1, 1, {}, true);
+    tlb.insert(2, 1, 2, {}, true);
+    EXPECT_DEATH(tlb.insert(3, 1, 3, {}, true), "2 lockable entries");
+    // Locking a present but unlocked key counts as a new lock too.
+    tlb.insert(4, 1, 4, {});
+    EXPECT_DEATH(tlb.insert(4, 1, 4, {}, true), "2 lockable entries");
+    d.lockableEntries = 0;
+    Tlb none(d);
+    EXPECT_DEATH(none.insert(1, 1, 1, {}, true), "0 lockable entries");
+    // SPARC locks 8 of its 64 entries, not all of them.
+    Tlb sparc(makeMachine(MachineId::SPARC).tlb);
+    for (Vpn v = 0; v < 8; ++v)
+        sparc.insert(v, 1, v, {}, true);
+    EXPECT_DEATH(sparc.insert(8, 1, 8, {}, true), "8 lockable entries");
+}
+
+TEST(Tlb, LockCountFollowsUnlocksAndDrops)
+{
+    Tlb tlb(smallTagged()); // 2 lockable
+    tlb.insert(1, 1, 1, {}, true);
+    tlb.insert(2, 1, 2, {}, true);
+    // Re-locking a locked key takes no new lock.
+    tlb.insert(1, 1, 0x11, {}, true);
+    EXPECT_EQ(tlb.lookup(1, 1).pfn, 0x11u);
+    // Unlock by insert, invalidate and invalidateAsid each free one.
+    tlb.insert(1, 1, 1, {});
+    tlb.insert(3, 1, 3, {}, true);
+    tlb.invalidate(2, 1);
+    tlb.insert(4, 2, 4, {}, true);
+    tlb.invalidateAsid(2);
+    tlb.insert(5, 1, 5, {}, true);
+    // Both locked (3 and 5) survive a full sweep of unlocked fills.
+    for (Vpn v = 0x10; v < 0x20; ++v)
+        tlb.insert(v, 1, v, {});
+    EXPECT_TRUE(tlb.lookup(3, 1).hit);
+    EXPECT_TRUE(tlb.lookup(5, 1).hit);
+    // invalidateAll frees every lock.
+    tlb.invalidateAll();
+    tlb.insert(6, 1, 6, {}, true);
+    tlb.insert(7, 1, 7, {}, true);
+    EXPECT_EQ(tlb.validEntries(), 2u);
+}
+
 /** Property: a TLB of N entries never reports more than N valid. */
 class TlbPropertyTest : public ::testing::TestWithParam<std::uint64_t>
 {
@@ -217,38 +264,38 @@ TEST_P(TlbPropertyTest, OccupancyNeverExceedsCapacityUnderRandomOps)
     EXPECT_TRUE(tlb.lookup(5, 3).hit);
 }
 
-TEST_P(TlbPropertyTest, HintedRefillBehavesLikeInsert)
+TEST_P(TlbPropertyTest, TouchBehavesLikeLookupThenInsert)
 {
     // Two mirrored TLBs driven by the same reference stream: one
-    // refills with the lookup's fillCell hint (the kernel's
-    // lookup-then-refill fast path), the other with plain insert().
-    // Every lookup must agree — a divergence means the hinted index
-    // write broke a probe-path invariant.
+    // refills through touch() (the kernel's one-probe path), the other
+    // with lookup() then insert(). Every probe must agree — a
+    // divergence means the refill broke a probe-path invariant.
     Rng rng(GetParam() * 104729);
     TlbDesc d;
     d.entries = 16;
     d.processIdTags = true;
     d.pidCount = 8;
-    Tlb hinted(d);
+    Tlb touched(d);
     Tlb ref(d);
     for (int i = 0; i < 20000; ++i) {
         Vpn v = rng.below(48);
         Asid a = static_cast<Asid>(rng.below(4));
         if (rng.chance(0.02)) {
-            hinted.invalidate(v, a);
+            touched.invalidate(v, a);
             ref.invalidate(v, a);
             continue;
         }
-        TlbLookup h = hinted.lookup(v, a);
         TlbLookup r = ref.lookup(v, a);
-        ASSERT_EQ(h.hit, r.hit) << "step " << i;
-        if (!h.hit) {
-            hinted.refill(v, a, v * 3, {}, h.fillCell);
+        const bool hit = touched.touch(v, a, false, [&](Cycles) {
+            return TlbFill{v * 3, {}};
+        });
+        ASSERT_EQ(hit, r.hit) << "step " << i;
+        if (!r.hit)
             ref.insert(v, a, v * 3, {});
-        } else {
-            ASSERT_EQ(h.pfn, r.pfn);
-        }
-        ASSERT_EQ(hinted.validEntries(), ref.validEntries());
+        // The key is most recent in both now, so this probe moves
+        // nothing.
+        ASSERT_EQ(touched.lookup(v, a).pfn, ref.lookup(v, a).pfn);
+        ASSERT_EQ(touched.validEntries(), ref.validEntries());
     }
 }
 
@@ -351,35 +398,68 @@ struct ReferenceTlb
     }
 };
 
+/** The TLB shapes the reference-model tests run over. */
+struct Shape
+{
+    std::uint32_t entries;
+    bool tagged;
+    TlbManagement management;
+
+    TlbDesc
+    desc() const
+    {
+        TlbDesc d;
+        d.entries = entries;
+        d.processIdTags = tagged;
+        d.pidCount = tagged ? 8 : 0;
+        d.management = management;
+        d.lockableEntries = entries / 4;
+        return d;
+    }
+};
+
+const Shape shapes[] = {
+    {1, true, TlbManagement::Software},
+    {1, false, TlbManagement::Hardware},
+    {4, true, TlbManagement::Hardware},
+    {4, false, TlbManagement::Software},
+    {28, true, TlbManagement::Software},
+    {28, false, TlbManagement::Hardware},
+    {64, true, TlbManagement::Software},
+    {64, false, TlbManagement::Hardware},
+};
+
+/** touch() beside the reference's lookup-then-insert: the same hit or
+ *  miss, and on a miss exactly one refill_from call, priced at the
+ *  reference's miss cost. */
+void
+touchBoth(Tlb &tlb, ReferenceTlb &ref, Vpn v, Asid a, bool kernel,
+          TlbFill fill)
+{
+    const TlbLookup want = ref.lookup(v, a, kernel);
+    int calls = 0;
+    Cycles cost = 0;
+    const bool hit = tlb.touch(v, a, kernel, [&](Cycles c) {
+        ++calls;
+        cost = c;
+        return fill;
+    });
+    ASSERT_EQ(hit, want.hit);
+    ASSERT_EQ(calls, hit ? 0 : 1);
+    if (!hit) {
+        ASSERT_EQ(cost, want.missCycles);
+        ref.insert(v, a, fill.pfn, fill.prot, false);
+    }
+}
+
 TEST_P(TlbPropertyTest, MatchesReferenceModel)
 {
-    struct Shape
-    {
-        std::uint32_t entries;
-        bool tagged;
-        TlbManagement management;
-    };
-    const Shape shapes[] = {
-        {1, true, TlbManagement::Software},
-        {1, false, TlbManagement::Hardware},
-        {4, true, TlbManagement::Hardware},
-        {4, false, TlbManagement::Software},
-        {28, true, TlbManagement::Software},
-        {28, false, TlbManagement::Hardware},
-        {64, true, TlbManagement::Software},
-        {64, false, TlbManagement::Hardware},
-    };
     for (const Shape &shape : shapes) {
         SCOPED_TRACE(::testing::Message()
                      << shape.entries << " entries, "
                      << (shape.tagged ? "tagged" : "untagged"));
         Rng rng(GetParam() * 31 + shape.entries);
-        TlbDesc d;
-        d.entries = shape.entries;
-        d.processIdTags = shape.tagged;
-        d.pidCount = shape.tagged ? 8 : 0;
-        d.management = shape.management;
-        d.lockableEntries = shape.entries / 4;
+        const TlbDesc d = shape.desc();
         Tlb tlb(d);
         ReferenceTlb ref(d);
         // Lock at most entries-1 translations so a victim always exists.
@@ -399,8 +479,9 @@ TEST_P(TlbPropertyTest, MatchesReferenceModel)
                 ASSERT_EQ(got.missCycles, want.missCycles) << "step " << i;
                 if (!got.hit && rng.chance(0.8)) {
                     PageProt p{true, rng.chance(0.5), !kernel};
-                    tlb.refill(v, a, v * 7 + a, p, got.fillCell);
-                    ref.insert(v, a, v * 7 + a, p, false);
+                    ASSERT_NO_FATAL_FAILURE(
+                        touchBoth(tlb, ref, v, a, kernel, {v * 7 + a, p}))
+                        << "step " << i;
                 }
             } else if (op < 75) {
                 const ReferenceTlb::Entry *cur = ref.find(v, a);
@@ -412,10 +493,9 @@ TEST_P(TlbPropertyTest, MatchesReferenceModel)
                 tlb.insert(v, a, v + 1000 * a, p, lock);
                 ref.insert(v, a, v + 1000 * a, p, lock);
             } else if (op < 85) {
-                if (!ref.find(v, a)) {
-                    tlb.refill(v, a, v ^ 0x55, {});
-                    ref.insert(v, a, v ^ 0x55, {}, false);
-                }
+                ASSERT_NO_FATAL_FAILURE(
+                    touchBoth(tlb, ref, v, a, kernel, {v ^ 0x55, {}}))
+                    << "step " << i;
             } else if (op < 93) {
                 tlb.invalidate(v, a);
                 if (ReferenceTlb::Entry *e = ref.find(v, a))
@@ -438,6 +518,43 @@ TEST_P(TlbPropertyTest, MatchesReferenceModel)
                 ASSERT_EQ(tlb.entriesForAsid(q), ref.count(q, false))
                     << "step " << i << " asid " << q;
         }
+    }
+}
+
+TEST_P(TlbPropertyTest, TouchRefillsOncePerMissAndNeverOnAHit)
+{
+    CountingScope counting;
+    for (const Shape &shape : shapes) {
+        SCOPED_TRACE(::testing::Message()
+                     << shape.entries << " entries, "
+                     << (shape.tagged ? "tagged" : "untagged"));
+        Rng rng(GetParam() * 131 + shape.entries);
+        Tlb tlb(shape.desc());
+        const std::uint64_t hits0 = counting.value(HwCounter::TlbHits);
+        const std::uint64_t misses0 = counting.value(HwCounter::TlbMisses);
+        std::uint64_t hits = 0, refills = 0;
+        for (int i = 0; i < 4000; ++i) {
+            Vpn v = rng.below(2 * shape.entries + 2);
+            Asid a = static_cast<Asid>(rng.below(4));
+            if (rng.chance(0.05)) {
+                tlb.invalidate(v, a);
+                continue;
+            }
+            if (rng.chance(0.01))
+                tlb.switchContext();
+            int calls = 0;
+            const bool hit = tlb.touch(v, a, rng.chance(0.3), [&](Cycles) {
+                ++calls;
+                return TlbFill{v, {}};
+            });
+            ASSERT_EQ(calls, hit ? 0 : 1) << "step " << i;
+            refills += calls;
+            // A touched key is present until something evicts it.
+            ASSERT_TRUE(tlb.lookup(v, a).hit) << "step " << i;
+            hits += hit + 1; // the touch's, if it hit, and the lookup's
+        }
+        EXPECT_EQ(counting.value(HwCounter::TlbHits) - hits0, hits);
+        EXPECT_EQ(counting.value(HwCounter::TlbMisses) - misses0, refills);
     }
 }
 
