@@ -44,7 +44,7 @@ echo "== reference documents"
 
 echo "== benchmarks"
 "$BUILD"/bench/simperf \
-    --benchmark_filter='BM_ReportFull|BM_WorkloadRun|BM_HandlerExecution|BM_TlbLookup|BM_LrpcSimulation|BM_PrimitiveSpanTraced|BM_KernelWindow|BM_TrafficRun|BM_DashboardRender' \
+    --benchmark_filter='BM_ReportFull|BM_WorkloadRun|BM_HandlerExecution|BM_TlbTouch|BM_LrpcSimulation|BM_PrimitiveSpanTraced|BM_KernelWindow|BM_TrafficRun|BM_DashboardRender' \
     --benchmark_out="$OUT"/BENCH_simperf.json \
     --benchmark_out_format=json
 

@@ -43,7 +43,7 @@ main()
                 "(%llu page transfers)\n",
                 t,
                 static_cast<unsigned long long>(
-                    dsm.stats().get("page_transfers")));
+                    dsm.counts().pageTransfers));
 
     // Phase 3: node 2 becomes the writer: every write invalidates the
     // other replicas.
@@ -54,7 +54,7 @@ main()
                 "(%llu invalidations)\n",
                 t,
                 static_cast<unsigned long long>(
-                    dsm.stats().get("invalidations")));
+                    dsm.counts().invalidations));
 
     // Phase 4: re-read from node 0: faults again, re-replicates.
     t = 0;
@@ -68,13 +68,13 @@ main()
     std::printf("protocol totals: %llu read faults, %llu write "
                 "faults, %llu transfers, %llu invalidations\n",
                 static_cast<unsigned long long>(
-                    dsm.stats().get("read_faults")),
+                    dsm.counts().readFaults),
                 static_cast<unsigned long long>(
-                    dsm.stats().get("write_faults")),
+                    dsm.counts().writeFaults),
                 static_cast<unsigned long long>(
-                    dsm.stats().get("page_transfers")),
+                    dsm.counts().pageTransfers),
                 static_cast<unsigned long long>(
-                    dsm.stats().get("invalidations")));
+                    dsm.counts().invalidations));
 
     std::printf("\n(s3: DSM hinges on fast traps and PTE changes - "
                 "on this machine a trap is\n%.1f us and a PTE change "

@@ -42,11 +42,11 @@ runSearch(const MachineDesc &m, ThreadLevel level)
                                            : "kernel-level:",
                 pkg.elapsedMicros(),
                 static_cast<unsigned long long>(
-                    pkg.stats().get("switches")),
+                    pkg.counts().switches),
                 static_cast<unsigned long long>(
-                    pkg.stats().get("lock_acquires")),
+                    pkg.counts().lockAcquires),
                 static_cast<unsigned long long>(
-                    pkg.stats().get("lock_contended")));
+                    pkg.counts().lockContended));
     return pkg.elapsedMicros();
 }
 

@@ -114,16 +114,13 @@ main()
     std::printf("server kernel: %llu syscalls, %llu interrupts, "
                 "%llu dispatches\n",
                 static_cast<unsigned long long>(
-                    server.kernel.stats().get(kstat::syscalls)),
+                    server.kernel.counts().syscalls),
                 static_cast<unsigned long long>(
-                    server.kernel.stats().get(kstat::traps)),
+                    server.kernel.counts().traps),
                 static_cast<unsigned long long>(
-                    server.sched.stats().get("dispatches")));
-    std::printf("network: %llu packets, %llu payload bytes\n",
-                static_cast<unsigned long long>(
-                    net.stats().get("packets")),
-                static_cast<unsigned long long>(
-                    net.stats().get("payload_bytes")));
+                    server.sched.counts().dispatches));
+    std::printf("network: %llu packets\n",
+                static_cast<unsigned long long>(net.packets()));
 
     double server_cpu_us = server.kernel.elapsedMicros();
     std::printf("\nserver CPU time: %.0f us — %.0f%% of it in OS "

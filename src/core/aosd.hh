@@ -55,7 +55,6 @@
 #include "sim/logging.hh"
 #include "sim/profile/profile.hh"
 #include "sim/random.hh"
-#include "sim/stats.hh"
 #include "sim/table.hh"
 #include "sim/ticks.hh"
 #include "workload/app_profile.hh"

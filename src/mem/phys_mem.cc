@@ -1,5 +1,7 @@
 #include "mem/phys_mem.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 
 namespace aosd
@@ -27,7 +29,6 @@ PhysMem::alloc()
     allocated[pfn] = true;
     ++live;
     peak = std::max(peak, live);
-    counters.inc("allocs");
     return pfn;
 }
 
@@ -40,7 +41,6 @@ PhysMem::free(Pfn pfn)
     allocated[pfn] = false;
     freeList.push_back(pfn);
     --live;
-    counters.inc("frees");
 }
 
 std::uint64_t

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "mem/tlb.hh"
-#include "sim/stats.hh"
 
 namespace aosd
 {
@@ -42,15 +41,12 @@ class PhysMem
     /** High-water mark of simultaneous allocation. */
     std::uint64_t peakAllocated() const { return peak; }
 
-    const StatGroup &stats() const { return counters; }
-
   private:
     std::uint64_t total;
     std::vector<bool> allocated;
     std::vector<Pfn> freeList;
     std::uint64_t live = 0;
     std::uint64_t peak = 0;
-    StatGroup counters{"physmem"};
 };
 
 } // namespace aosd

@@ -15,6 +15,11 @@ Tlb::Tlb(const TlbDesc &d)
 {
     if (d.entries == 0)
         fatal("TLB must have at least one entry");
+    // One entry must stay replaceable, or the fill after the last
+    // lock has no victim.
+    if (d.lockableEntries >= d.entries)
+        fatal("TLB has %u lockable entries of %u: at most %u may lock",
+              d.lockableEntries, d.entries, d.entries - 1);
     for (std::uint32_t s = 0; s < d.entries; ++s)
         freeSlots.push_back(s);
     const std::uint32_t n =

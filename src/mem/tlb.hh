@@ -287,6 +287,8 @@ Tlb::claim(std::uint32_t bucket)
     } else {
         for (slot = lruTail; slot != npos && entries[slot].locked;)
             slot = entries[slot].lruPrev;
+        // Unreachable: the constructor keeps lockableEntries below
+        // the entry count, so an unlocked entry always remains.
         if (slot == npos)
             panic("all TLB entries locked");
         unchain(slot);

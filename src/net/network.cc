@@ -1,5 +1,7 @@
 #include "net/network.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 
 namespace aosd
@@ -22,9 +24,6 @@ Network::send(std::uint32_t src, std::uint32_t dst,
 {
     if (src >= handlers.size() || dst >= handlers.size())
         panic("send between unregistered nodes");
-
-    statGroup.inc("packets");
-    statGroup.inc("payload_bytes", payload_bytes);
 
     Packet pkt{payload_bytes, src, dst, nextPacketId++};
 

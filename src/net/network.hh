@@ -14,7 +14,6 @@
 
 #include "net/ethernet.hh"
 #include "sim/event_queue.hh"
-#include "sim/stats.hh"
 
 namespace aosd
 {
@@ -41,7 +40,8 @@ class Network
               std::uint32_t payload_bytes);
 
     std::size_t nodeCount() const { return handlers.size(); }
-    const StatGroup &stats() const { return statGroup; }
+    /** Packets sent so far. */
+    std::uint64_t packets() const { return nextPacketId; }
     const Ethernet &link() const { return ether; }
 
   private:
@@ -50,7 +50,6 @@ class Network
     std::vector<PacketHandler> handlers;
     Tick wireFreeAt = 0;
     std::uint64_t nextPacketId = 0;
-    StatGroup statGroup{"network"};
 };
 
 } // namespace aosd

@@ -56,7 +56,6 @@ BindingRegistry::exportInterface(const std::string &name,
         if (e.name == name)
             fatal("interface '%s' already exported", name.c_str());
     exports.push_back({name, &server});
-    counters.inc("exports");
 }
 
 std::optional<std::uint32_t>
@@ -72,10 +71,9 @@ BindingRegistry::bind(const std::string &name,
         bindings.emplace_back(id, &client, e.server, astacks,
                               astack_bytes, nextSharedVpn);
         nextSharedVpn += astacks;
-        counters.inc("binds");
         return id;
     }
-    counters.inc("bind_failures");
+    ++failedBinds;
     return std::nullopt;
 }
 

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "os/kernel/address_space.hh"
-#include "sim/stats.hh"
 
 namespace aosd
 {
@@ -87,7 +86,8 @@ class BindingRegistry
 
     Binding *binding(std::uint32_t binding_id);
 
-    const StatGroup &stats() const { return counters; }
+    /** bind() calls that named no exported interface. */
+    std::uint64_t bindFailures() const { return failedBinds; }
 
   private:
     struct Export
@@ -99,7 +99,7 @@ class BindingRegistry
     std::vector<Export> exports;
     std::vector<Binding> bindings;
     Vpn nextSharedVpn = 0xE000;
-    StatGroup counters{"binding"};
+    std::uint64_t failedBinds = 0;
 };
 
 } // namespace aosd

@@ -39,15 +39,15 @@ simulateTlbMisses(const MachineDesc &desc, const LrpcConfig &cfg,
 
     std::uint64_t before = 0;
     for (unsigned i = 0; i < round_trips; ++i) {
-        before = kernel.stats().get(kstat::userTlbMisses) +
-                 kernel.stats().get(kstat::kernelTlbMisses);
+        before = kernel.counts().userTlbMisses +
+                 kernel.counts().kernelTlbMisses;
         kernel.syscall();
         kernel.contextSwitchTo(server);
         kernel.syscall();
         kernel.contextSwitchTo(client);
     }
-    std::uint64_t after = kernel.stats().get(kstat::userTlbMisses) +
-                          kernel.stats().get(kstat::kernelTlbMisses);
+    std::uint64_t after = kernel.counts().userTlbMisses +
+                          kernel.counts().kernelTlbMisses;
     return after - before;
 }
 

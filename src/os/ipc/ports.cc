@@ -17,7 +17,6 @@ PortSpace::allocate(const AddressSpace &owner)
     p.owner = &owner;
     p.senders.insert(&owner);
     ports.emplace(id, std::move(p));
-    counters.inc("allocated");
     return id;
 }
 
@@ -27,8 +26,7 @@ PortSpace::destroy(PortId port, const AddressSpace &caller)
     auto it = ports.find(port);
     if (it == ports.end() || it->second.owner != &caller)
         return false;
-    counters.inc("destroyed");
-    counters.inc("dropped_messages", it->second.queue.size());
+    tally.droppedMessages += it->second.queue.size();
     ports.erase(it);
     return true;
 }
@@ -40,7 +38,6 @@ PortSpace::grantSendRight(PortId port, const AddressSpace &to)
     if (it == ports.end())
         return false;
     it->second.senders.insert(&to);
-    counters.inc("rights_granted");
     return true;
 }
 
@@ -55,13 +52,11 @@ PortSpace::send(const AddressSpace &sender, PortId port,
         return PortResult::NoSuchPort;
     Port &p = it->second;
     if (!p.senders.count(&sender)) {
-        counters.inc("rights_violations");
+        ++tally.rightsViolations;
         return PortResult::NoRight;
     }
-    if (p.queue.size() >= queueLimit) {
-        counters.inc("queue_full");
+    if (p.queue.size() >= queueLimit)
         return PortResult::QueueFull;
-    }
     PortMessage msg;
     msg.port = port;
     msg.bytes = bytes;
@@ -69,8 +64,6 @@ PortSpace::send(const AddressSpace &sender, PortId port,
     msg.replyPort = reply_port;
     msg.id = nextMsg++;
     p.queue.push_back(msg);
-    counters.inc("sends");
-    counters.inc("bytes_sent", bytes);
     return PortResult::Success;
 }
 
@@ -84,14 +77,13 @@ PortSpace::receive(const AddressSpace &receiver, PortId port,
         return PortResult::NoSuchPort;
     Port &p = it->second;
     if (p.owner != &receiver) {
-        counters.inc("rights_violations");
+        ++tally.rightsViolations;
         return PortResult::NoRight;
     }
     if (p.queue.empty())
         return PortResult::WouldBlock;
     out = p.queue.front();
     p.queue.pop_front();
-    counters.inc("receives");
     return PortResult::Success;
 }
 

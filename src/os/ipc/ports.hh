@@ -54,6 +54,13 @@ enum class PortResult
 class PortSpace
 {
   public:
+    struct Counts
+    {
+        std::uint64_t rightsViolations = 0;
+        /** Messages still queued on a port when it was destroyed. */
+        std::uint64_t droppedMessages = 0;
+    };
+
     explicit PortSpace(SimKernel &kernel,
                        std::uint32_t queue_limit = 16);
 
@@ -84,7 +91,7 @@ class PortSpace
     std::size_t queued(PortId port) const;
     bool hasSendRight(PortId port, const AddressSpace &space) const;
 
-    const StatGroup &stats() const { return counters; }
+    const Counts &counts() const { return tally; }
 
   private:
     struct Port
@@ -99,7 +106,7 @@ class PortSpace
     std::map<PortId, Port> ports;
     PortId nextPort = 1;
     std::uint64_t nextMsg = 0;
-    StatGroup counters{"ports"};
+    Counts tally;
 };
 
 /**

@@ -165,7 +165,7 @@ RpcSimulation::run(std::uint64_t calls, std::uint32_t arg_bytes,
                            result.calls, 1));
     result.clientCpuUs = client.kernel.elapsedMicros();
     result.serverCpuUs = server.kernel.elapsedMicros();
-    result.packets = net.stats().get("packets");
+    result.packets = net.packets();
     return result;
 }
 

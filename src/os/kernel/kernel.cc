@@ -39,15 +39,6 @@ SimKernel::SimKernel(const MachineDesc &machine)
 {
     for (Primitive p : allPrimitives)
         primCost[static_cast<std::size_t>(p)] = &costs.cost(desc.id, p);
-    statSyscalls = &counters.handle(kstat::syscalls);
-    statTraps = &counters.handle(kstat::traps);
-    statAddrSpaceSwitches = &counters.handle(kstat::addrSpaceSwitches);
-    statThreadSwitches = &counters.handle(kstat::threadSwitches);
-    statEmulatedInstrs = &counters.handle(kstat::emulatedInstrs);
-    statKernelTlbMisses = &counters.handle(kstat::kernelTlbMisses);
-    statUserTlbMisses = &counters.handle(kstat::userTlbMisses);
-    statOtherExceptions = &counters.handle(kstat::otherExceptions);
-    statPteChanges = &counters.handle(kstat::pteChanges);
     // Space 0 is the kernel itself; its working set models the mapped
     // kernel data (page tables and the like) that still needs TLB
     // entries even when kernel *code* runs unmapped (s5).
@@ -139,13 +130,13 @@ SimKernel::chargePrimitiveBatch(const char *scope, Primitive p,
 
 inline void
 SimKernel::batchScopedPrimitive(const char *scope, Primitive p,
-                                std::uint64_t *stat, HwCounter event,
+                                std::uint64_t &count, HwCounter event,
                                 std::uint64_t n, bool sample_each)
 {
     const PrimitiveCost &pc = *primCost[static_cast<std::size_t>(p)];
     const Cycles start = cycleCount;
     const Cycles prim_start = primCycles;
-    *stat += n;
+    count += n;
     countEvent(event, n);
     chargePrimitiveBatch(scope, p, n);
     if (sample_each) {
@@ -171,7 +162,7 @@ SimKernel::syscallBatch(std::uint64_t n, bool sample_each)
         return;
     }
     batchScopedPrimitive("syscall", Primitive::NullSyscall,
-                         statSyscalls, HwCounter::KernelSyscalls, n,
+                         tally.syscalls, HwCounter::KernelSyscalls, n,
                          sample_each);
 }
 
@@ -189,7 +180,7 @@ SimKernel::trapBatch(std::uint64_t n, bool sample_each)
         }
         return;
     }
-    batchScopedPrimitive("trap", Primitive::Trap, statTraps,
+    batchScopedPrimitive("trap", Primitive::Trap, tally.traps,
                          HwCounter::KernelTraps, n, sample_each);
 }
 
@@ -208,7 +199,7 @@ SimKernel::otherExceptionBatch(std::uint64_t n, bool sample_each)
         return;
     }
     batchScopedPrimitive("exception", Primitive::Trap,
-                         statOtherExceptions, HwCounter::KernelTraps,
+                         tally.otherExceptions, HwCounter::KernelTraps,
                          n, sample_each);
 }
 
@@ -227,7 +218,7 @@ SimKernel::threadSwitchBatch(std::uint64_t n, bool sample_each)
         return;
     }
     batchScopedPrimitive("thread_switch", Primitive::ContextSwitch,
-                         statThreadSwitches,
+                         tally.threadSwitches,
                          HwCounter::ThreadSwitches, n, sample_each);
 }
 
@@ -247,7 +238,7 @@ SimKernel::emulateTestAndSetBatch(std::uint64_t n, bool sample_each)
     }
     const Cycles start = cycleCount;
     const Cycles prim_start = primCycles;
-    *statEmulatedInstrs += n;
+    tally.emulatedInstrs += n;
     countEvent(HwCounter::EmulatedInstrs, n);
     countEvent(HwCounter::EmulatedTasOps, n);
     cycleCount += tasCycles * n;
@@ -281,7 +272,7 @@ SimKernel::emulateSingleInstructionsBatch(std::uint64_t n,
     }
     const Cycles start = cycleCount;
     const Cycles prim_start = primCycles;
-    *statEmulatedInstrs += n;
+    tally.emulatedInstrs += n;
     countEvent(HwCounter::EmulatedInstrs, n);
     cycleCount += emulatedInstrCycles * n;
     primCycles += emulatedInstrCycles * n;
@@ -309,7 +300,7 @@ SimKernel::pteChangeBatch(AddressSpace &space,
         return;
     }
     const auto n = static_cast<std::uint64_t>(vpns.size());
-    *statPteChanges += n;
+    tally.pteChanges += n;
     countEvent(HwCounter::PteChanges, n);
     chargePrimitiveBatch("pte_change", Primitive::PteChange, n);
     countEvent(HwCounter::CacheFlushLines, pageFlushLines * n);
@@ -333,7 +324,7 @@ SimKernel::syscall()
 {
     ProfScope prof("syscall");
     SpanScope span("syscall", cycleCount);
-    ++*statSyscalls;
+    ++tally.syscalls;
     countEvent(HwCounter::KernelSyscalls);
     Cycles start = cycleCount;
     chargePrimitive(Primitive::NullSyscall);
@@ -347,7 +338,7 @@ SimKernel::trap()
 {
     ProfScope prof("trap");
     SpanScope span("trap", cycleCount);
-    ++*statTraps;
+    ++tally.traps;
     countEvent(HwCounter::KernelTraps);
     Cycles start = cycleCount;
     if (tracerEnabled())
@@ -364,7 +355,7 @@ SimKernel::pteChange(AddressSpace &space, Vpn vpn, PageProt prot)
 {
     ProfScope prof("pte_change");
     SpanScope span("pte_change", cycleCount);
-    ++*statPteChanges;
+    ++tally.pteChanges;
     countEvent(HwCounter::PteChanges);
     chargePrimitive(Primitive::PteChange);
     space.pageTable().protect(vpn, prot);
@@ -389,10 +380,10 @@ SimKernel::contextSwitchTo(AddressSpace &target)
         return;
     ProfScope prof("context_switch");
     SpanScope span("context_switch", cycleCount);
-    ++*statAddrSpaceSwitches;
+    ++tally.addrSpaceSwitches;
     countEvent(HwCounter::ContextSwitches);
     // An address-space switch implies a thread switch (Table 7 note).
-    ++*statThreadSwitches;
+    ++tally.threadSwitches;
     countEvent(HwCounter::ThreadSwitches);
     if (tracerEnabled())
         Tracer::instance().recordAt(cycleCount,
@@ -446,7 +437,7 @@ SimKernel::threadSwitch()
 {
     ProfScope prof("thread_switch");
     SpanScope span("thread_switch", cycleCount);
-    ++*statThreadSwitches;
+    ++tally.threadSwitches;
     countEvent(HwCounter::ThreadSwitches);
     Cycles start = cycleCount;
     chargePrimitive(Primitive::ContextSwitch);
@@ -459,7 +450,7 @@ SimKernel::threadSwitch()
 void
 SimKernel::emulateInstructions(std::uint64_t n)
 {
-    *statEmulatedInstrs += n;
+    tally.emulatedInstrs += n;
     countEvent(HwCounter::EmulatedInstrs, n);
     // Each emulated instruction decodes and interprets in the kernel:
     // a handful of cycles beyond the trap that delivered it.
@@ -478,7 +469,7 @@ SimKernel::emulateInstructions(std::uint64_t n)
 void
 SimKernel::emulateTestAndSet()
 {
-    ++*statEmulatedInstrs;
+    ++tally.emulatedInstrs;
     countEvent(HwCounter::EmulatedInstrs);
     countEvent(HwCounter::EmulatedTasOps);
     // A dedicated fast trap vector: hardware entry/exit plus a short
@@ -498,7 +489,7 @@ SimKernel::otherException()
 {
     ProfScope prof("exception");
     SpanScope span("exception", cycleCount);
-    ++*statOtherExceptions;
+    ++tally.otherExceptions;
     countEvent(HwCounter::KernelTraps);
     Cycles start = cycleCount;
     chargePrimitive(Primitive::Trap);
@@ -521,22 +512,22 @@ SimKernel::touchPages(const std::vector<Vpn> &pages, bool kernel_space)
     const Asid asid = space.asid();
     // A miss's refill cycles land before its fill, so a traced
     // tlb_fill carries the cycle after the refill.
-    auto charge = [&](Cycles c, const char *leaf, std::uint64_t *stat) {
+    auto charge = [&](Cycles c, const char *leaf, std::uint64_t &misses) {
         cycleCount += c;
         primCycles += c;
         if (profiling)
             Profiler::instance().addLeafCycles(leaf, c);
         if (tracing)
             Tracer::instance().setCycle(cycleCount);
-        ++*stat;
+        ++misses;
     };
-    std::uint64_t *miss_stat =
-        kernel_space ? statKernelTlbMisses : statUserTlbMisses;
+    std::uint64_t &miss_count =
+        kernel_space ? tally.kernelTlbMisses : tally.userTlbMisses;
     const char *miss_leaf = kernel_space ? "miss_kernel" : "miss_user";
     for (Vpn vpn : pages) {
         const bool hit =
             tlbModel.touch(vpn, asid, kernel_space, [&](Cycles c) {
-                charge(c, miss_leaf, miss_stat);
+                charge(c, miss_leaf, miss_count);
                 const Pte *walked = space.translate(vpn);
                 return walked ? TlbFill{walked->pfn, walked->prot}
                               : TlbFill{vpn, {}};
@@ -552,7 +543,7 @@ SimKernel::touchPages(const std::vector<Vpn> &pages, bool kernel_space)
         // entries.
         const Vpn table_page = 0x800 + asid + ((vpn >> 10) % 2);
         tlbModel.touch(table_page, 0, true, [&](Cycles c) {
-            charge(c, "miss_page_table", statKernelTlbMisses);
+            charge(c, "miss_page_table", tally.kernelTlbMisses);
             return TlbFill{table_page, {}};
         });
     }
@@ -600,7 +591,7 @@ SimKernel::resetAccounting()
 {
     cycleCount = 0;
     primCycles = 0;
-    counters.reset();
+    tally = {};
 }
 
 } // namespace aosd

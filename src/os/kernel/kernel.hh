@@ -15,6 +15,7 @@
 #define AOSD_OS_KERNEL_KERNEL_HH
 
 #include <array>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -25,24 +26,9 @@
 #include "os/kernel/address_space.hh"
 #include "sim/counters/reconcile.hh"
 #include "sim/profile/profile.hh"
-#include "sim/stats.hh"
 
 namespace aosd
 {
-
-/** Counter names SimKernel maintains (Table 7 columns). */
-namespace kstat
-{
-inline constexpr const char *syscalls = "syscalls";
-inline constexpr const char *traps = "traps";
-inline constexpr const char *addrSpaceSwitches = "addr_space_switches";
-inline constexpr const char *threadSwitches = "thread_switches";
-inline constexpr const char *emulatedInstrs = "emulated_instrs";
-inline constexpr const char *kernelTlbMisses = "kernel_tlb_misses";
-inline constexpr const char *userTlbMisses = "user_tlb_misses";
-inline constexpr const char *otherExceptions = "other_exceptions";
-inline constexpr const char *pteChanges = "pte_changes";
-} // namespace kstat
 
 /** Interrupts-disabled test-and-set sequence of the kernel's emulated
  *  test&set fast trap, beyond the trap entry/exit hardware cost. */
@@ -76,6 +62,23 @@ KernelWindowCosts kernelWindowCosts(const MachineDesc &machine);
 class SimKernel
 {
   public:
+    /** What the kernel counts: Table 7's columns plus the TLB misses
+     *  and PTE changes beside them. */
+    struct Counts
+    {
+        std::uint64_t syscalls = 0;
+        std::uint64_t traps = 0;
+        std::uint64_t addrSpaceSwitches = 0;
+        std::uint64_t threadSwitches = 0;
+        std::uint64_t emulatedInstrs = 0;
+        std::uint64_t kernelTlbMisses = 0;
+        std::uint64_t userTlbMisses = 0;
+        std::uint64_t otherExceptions = 0;
+        std::uint64_t pteChanges = 0;
+
+        bool operator==(const Counts &) const = default;
+    };
+
     explicit SimKernel(const MachineDesc &machine);
 
     const MachineDesc &machine() const { return desc; }
@@ -120,6 +123,10 @@ class SimKernel
 
     /** An interrupt or page fault ("other exceptions" in Table 7). */
     void otherException();
+
+    /** Count an "other exception" whose entry the caller already
+     *  charged through trap() (a VM fault), without charging it again. */
+    void countOtherException() { ++tally.otherExceptions; }
 
     // ---- batched primitive operations -----------------------------
     // Each *Batch(n) charges `n` back-to-back invocations of its
@@ -201,8 +208,7 @@ class SimKernel
      *  in OS primitives" numerator). */
     Cycles primitiveCycles() const { return primCycles; }
 
-    const StatGroup &stats() const { return counters; }
-    StatGroup &mutableStats() { return counters; }
+    const Counts &counts() const { return tally; }
 
     Tlb &tlb() { return tlbModel; }
 
@@ -219,11 +225,11 @@ class SimKernel
                                                      Primitive p,
                                                      std::uint64_t n);
     /** Shared body of the scoped batch ops (syscall/trap/exception/
-     *  thread switch): stat + counter + charge + optional per-event
+     *  thread switch): count + HwCounter + charge + optional per-event
      *  sampler boundaries. */
     [[gnu::always_inline]] void
     batchScopedPrimitive(const char *scope, Primitive p,
-                         std::uint64_t *stat, HwCounter event,
+                         std::uint64_t &count, HwCounter event,
                          std::uint64_t n, bool sample_each);
     MachineDesc desc;
     const PrimitiveCostDb &costs;
@@ -243,19 +249,7 @@ class SimKernel
     /** switchFlushLines × flushLineCycles, charged per switch. */
     const Cycles switchFlushCycles;
     Tlb tlbModel;
-    StatGroup counters{"kernel"};
-    /** Interned kstat handles (StatGroup::handle): the workload loop
-     *  bumps these once per kernel event, so no string lookups there.
-     *  Stable because `counters` is never copied or moved. */
-    std::uint64_t *statSyscalls;
-    std::uint64_t *statTraps;
-    std::uint64_t *statAddrSpaceSwitches;
-    std::uint64_t *statThreadSwitches;
-    std::uint64_t *statEmulatedInstrs;
-    std::uint64_t *statKernelTlbMisses;
-    std::uint64_t *statUserTlbMisses;
-    std::uint64_t *statOtherExceptions;
-    std::uint64_t *statPteChanges;
+    Counts tally;
     std::vector<std::unique_ptr<AddressSpace>> spaces;
     std::size_t currentIdx = 0;
     Asid nextAsid = 1;

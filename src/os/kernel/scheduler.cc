@@ -19,7 +19,6 @@ Scheduler::spawn(const std::string &name, AddressSpace &space,
     t.priority = priority;
     threads.push_back(std::move(t));
     readyQueue.push_back(threads.back().id);
-    counters.inc("spawned");
     return threads.back().id;
 }
 
@@ -33,7 +32,7 @@ Scheduler::wake(ThreadId id)
         return;
     t.state = ThreadRunState::Ready;
     readyQueue.push_back(id);
-    counters.inc("wakeups");
+    ++tally.wakeups;
 }
 
 Scheduler::Thread *
@@ -76,7 +75,7 @@ Scheduler::run(std::uint64_t max_dispatches)
         lastDispatched = t->id;
 
         t->state = ThreadRunState::Running;
-        counters.inc("dispatches");
+        ++tally.dispatches;
         ++dispatches;
 
         ThreadRunState next = t->body();
@@ -86,10 +85,7 @@ Scheduler::run(std::uint64_t max_dispatches)
             readyQueue.push_back(t->id);
             break;
           case ThreadRunState::Blocked:
-            counters.inc("blocks");
-            break;
           case ThreadRunState::Finished:
-            counters.inc("finished");
             break;
           case ThreadRunState::Running:
             panic("thread body returned Running");

@@ -44,6 +44,12 @@ class Scheduler
     using ThreadId = std::uint32_t;
     using ThreadBody = std::function<ThreadRunState()>;
 
+    struct Counts
+    {
+        std::uint64_t dispatches = 0;
+        std::uint64_t wakeups = 0;
+    };
+
     explicit Scheduler(SimKernel &kernel) : sim(kernel) {}
 
     /** Create a thread bound to an address space. Higher priority
@@ -64,7 +70,7 @@ class Scheduler
     /** Threads that have finished. */
     std::size_t finishedCount() const;
 
-    const StatGroup &stats() const { return counters; }
+    const Counts &counts() const { return tally; }
 
   private:
     struct Thread
@@ -83,7 +89,7 @@ class Scheduler
     std::vector<Thread> threads;
     std::deque<ThreadId> readyQueue;
     ThreadId lastDispatched = UINT32_MAX;
-    StatGroup counters{"sched"};
+    Counts tally;
 };
 
 } // namespace aosd

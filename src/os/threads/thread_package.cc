@@ -23,7 +23,7 @@ ThreadPackage::create(std::vector<WorkSlice> slices)
     threads.push_back(std::move(t));
     runQueue.push_back(threads.back().id);
 
-    counters.inc("creates");
+    ++tally.creates;
     Cycles c = threadLevel == ThreadLevel::User
                    ? costModel.userThreadCreate
                    : costModel.kernelThreadCreate;
@@ -35,7 +35,7 @@ ThreadPackage::create(std::vector<WorkSlice> slices)
 void
 ThreadPackage::chargeSwitch()
 {
-    counters.inc("switches");
+    ++tally.switches;
     Cycles c = threadLevel == ThreadLevel::User
                    ? costModel.userThreadSwitch
                    : costModel.kernelThreadSwitch;
@@ -73,14 +73,14 @@ ThreadPackage::runToCompletion()
             if (!locks[idx].tryAcquire(id)) {
                 // Contended: charge the failed probe and retry after
                 // the holder has run.
-                counters.inc("lock_contended");
+                ++tally.lockContended;
                 cycleCount += lockCost / 2;
                 Profiler::instance().addLeafCycles("lock_contended",
                                                    lockCost / 2);
                 runQueue.push_back(id);
                 continue;
             }
-            counters.inc("lock_acquires");
+            ++tally.lockAcquires;
             cycleCount += lockCost;
             Profiler::instance().addLeafCycles("lock_acquire",
                                                lockCost);
@@ -88,7 +88,7 @@ ThreadPackage::runToCompletion()
 
         cycleCount += slice.work;
         Profiler::instance().addLeafCycles("thread_work", slice.work);
-        counters.inc("slices");
+        ++tally.slices;
         if (slice.lockId >= 0) {
             if (slice.holdAcrossYield && t.next + 1 < t.slices.size())
                 t.heldLock = slice.lockId;

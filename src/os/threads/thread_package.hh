@@ -21,7 +21,6 @@
 #include "arch/machine_desc.hh"
 #include "os/threads/sync.hh"
 #include "os/threads/thread.hh"
-#include "sim/stats.hh"
 
 namespace aosd
 {
@@ -52,6 +51,15 @@ class ThreadPackage
   public:
     using ThreadId = std::uint32_t;
 
+    struct Counts
+    {
+        std::uint64_t creates = 0;
+        std::uint64_t switches = 0;
+        std::uint64_t slices = 0;
+        std::uint64_t lockAcquires = 0;
+        std::uint64_t lockContended = 0;
+    };
+
     ThreadPackage(const MachineDesc &machine, ThreadLevel level,
                   ThreadCostOptions opts = {});
 
@@ -70,7 +78,7 @@ class ThreadPackage
     Cycles elapsedCycles() const { return cycleCount; }
     double elapsedMicros() const;
 
-    const StatGroup &stats() const { return counters; }
+    const Counts &counts() const { return tally; }
     const ThreadCosts &costs() const { return costModel; }
     ThreadLevel level() const { return threadLevel; }
 
@@ -97,7 +105,7 @@ class ThreadPackage
     std::vector<TestAndSetLock> locks;
     ThreadId lastRun = UINT32_MAX;
     Cycles cycleCount = 0;
-    StatGroup counters{"threads"};
+    Counts tally;
 };
 
 } // namespace aosd

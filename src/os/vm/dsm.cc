@@ -75,18 +75,17 @@ double
 IvyDsm::read(std::uint32_t node, std::uint64_t page)
 {
     PageState &ps = pageStates[page];
-    counters.inc("reads");
     if (access(node, page) != DsmAccess::None)
         return desc.clock.cyclesToMicros(1); // local hit
 
     // Read fault: trap locally, fetch a replica from the owner, and
     // downgrade the owner's mapping to read-only (s3: "the writer's
     // copy [is] changed back to read-only").
-    counters.inc("read_faults");
+    ++tally.readFaults;
     SimKernel &k = *kernels[node];
     k.trap();
     double us = pageTransferUs();
-    counters.inc("page_transfers");
+    ++tally.pageTransfers;
 
     SimKernel &ok = *kernels[ps.owner];
     if (ps.writerValid) {
@@ -108,27 +107,26 @@ double
 IvyDsm::write(std::uint32_t node, std::uint64_t page)
 {
     PageState &ps = pageStates[page];
-    counters.inc("writes");
     if (access(node, page) == DsmAccess::Write)
         return desc.clock.cyclesToMicros(1);
 
     // Write fault: invalidate every replica except the writer's,
     // transfer ownership (and the page if the writer has no copy).
-    counters.inc("write_faults");
+    ++tally.writeFaults;
     SimKernel &k = *kernels[node];
     k.trap();
     double us = 0.0;
 
     if (!ps.hasCopy[node]) {
         us += pageTransferUs();
-        counters.inc("page_transfers");
+        ++tally.pageTransfers;
     }
 
     for (std::uint32_t n = 0; n < nodeCount(); ++n) {
         if (n == node || !ps.hasCopy[n])
             continue;
         us += controlMessageUs();
-        counters.inc("invalidations");
+        ++tally.invalidations;
         SimKernel &nk = *kernels[n];
         nk.tlb().invalidate(page, nk.currentSpace().asid());
         ps.hasCopy[n] = false;

@@ -22,7 +22,6 @@
 #include "net/ethernet.hh"
 #include "os/ipc/rpc.hh"
 #include "os/kernel/kernel.hh"
-#include "sim/stats.hh"
 
 namespace aosd
 {
@@ -39,6 +38,15 @@ enum class DsmAccess
 class IvyDsm
 {
   public:
+    /** The protocol's fault and message counts. */
+    struct Counts
+    {
+        std::uint64_t readFaults = 0;
+        std::uint64_t writeFaults = 0;
+        std::uint64_t pageTransfers = 0;
+        std::uint64_t invalidations = 0;
+    };
+
     /**
      * @param machine   node architecture (all nodes identical)
      * @param nodes     number of workstations
@@ -61,7 +69,7 @@ class IvyDsm
     /** Check the single-writer / multiple-reader invariant. */
     bool coherent() const;
 
-    const StatGroup &stats() const { return counters; }
+    const Counts &counts() const { return tally; }
     SimKernel &nodeKernel(std::uint32_t node) { return *kernels[node]; }
     std::uint32_t nodeCount() const
     {
@@ -83,7 +91,7 @@ class IvyDsm
     SrcRpcModel rpc;
     std::vector<std::unique_ptr<SimKernel>> kernels;
     std::vector<PageState> pageStates;
-    StatGroup counters{"dsm"};
+    Counts tally;
 };
 
 } // namespace aosd

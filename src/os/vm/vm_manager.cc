@@ -82,7 +82,7 @@ VmManager::handleFault(AddressSpace &space, Vpn vpn, bool write,
 {
     // Every fault enters the kernel through the trap machinery.
     sim.trap();
-    sim.mutableStats().inc(kstat::otherExceptions);
+    sim.countOtherException();
 
     if (write && pte.copyOnWrite) {
         // Break the share: copy the page, remap writable.
@@ -100,7 +100,7 @@ VmManager::handleFault(AddressSpace &space, Vpn vpn, bool write,
         }
         space.pageTable().update(vpn, fresh);
         sim.pteChange(space, vpn, fresh.prot);
-        sim.mutableStats().inc("cow_breaks");
+        ++tally.cowBreaks;
         return FaultResult::CopiedOnWrite;
     }
 
@@ -111,7 +111,7 @@ VmManager::handleFault(AddressSpace &space, Vpn vpn, bool write,
         sim.syscall();
         bool resolved = h->second(space, vpn, write);
         sim.syscall();
-        sim.mutableStats().inc("reflected_faults");
+        ++tally.reflectedFaults;
         return resolved ? FaultResult::ReflectedToUser
                         : FaultResult::ProtectionError;
     }

@@ -44,6 +44,13 @@ using UserFaultHandler =
 class VmManager
 {
   public:
+    /** COW breaks and faults reflected to a user handler. */
+    struct Counts
+    {
+        std::uint64_t cowBreaks = 0;
+        std::uint64_t reflectedFaults = 0;
+    };
+
     /** @param mem optional frame allocator; when absent, frames come
      *  from an internal monotonic counter. */
     explicit VmManager(SimKernel &kernel, PhysMem *mem = nullptr);
@@ -78,6 +85,8 @@ class VmManager
 
     SimKernel &kernel() { return sim; }
 
+    const Counts &counts() const { return tally; }
+
   private:
     FaultResult handleFault(AddressSpace &space, Vpn vpn, bool write,
                             const Pte &pte);
@@ -94,6 +103,7 @@ class VmManager
     /** Reference counts of COW-shared frames. */
     std::map<Pfn, std::uint32_t> cowRefs;
     std::map<const AddressSpace *, UserFaultHandler> handlers;
+    Counts tally;
 };
 
 } // namespace aosd

@@ -2,11 +2,11 @@
  * @file
  * Minimal JSON value type with serializer and parser.
  *
- * The observability layer (StatRegistry snapshots, the cycle tracer's
- * chrome://tracing export, and tools/aosd_report's report.json) needs
- * machine-readable output, and the regression gate needs to read it
- * back. This is a deliberately small, dependency-free implementation:
- * objects preserve insertion order so emitted reports diff cleanly.
+ * The observability layer (the cycle tracer's chrome://tracing export
+ * and tools/aosd_report's report.json) needs machine-readable output,
+ * and the regression gate needs to read it back. This is a
+ * deliberately small, dependency-free implementation: objects
+ * preserve insertion order so emitted reports diff cleanly.
  */
 
 #ifndef AOSD_SIM_JSON_HH

@@ -35,31 +35,13 @@ ParallelRunner::runIndexed(std::size_t n,
         return;
 
     if (jobCount == 1) {
-        // The serial escape hatch: inline on the calling thread, no
-        // capture bracketing — today's exact code path.
+        // The serial escape hatch: inline on the calling thread.
         for (std::size_t i = 0; i < n; ++i)
             fn(i);
         return;
     }
 
-    std::vector<FlatStats> shards(collectStats ? n : 0);
-    const bool capture = collectStats;
-    auto task = [&](std::size_t i) {
-        if (capture)
-            SimSlice::current().beginStatCapture();
-        fn(i);
-        if (capture)
-            shards[i] = SimSlice::current().captureStats();
-    };
-    pool().forEachIndex(n, task);
-
-    // Merge worker shards by ascending task index — the same order a
-    // serial run would have retired them in.
-    if (capture) {
-        StatRegistry &reg = StatRegistry::instance();
-        for (const FlatStats &shard : shards)
-            reg.absorbRetired(shard);
-    }
+    pool().forEachIndex(n, fn);
 }
 
 } // namespace aosd

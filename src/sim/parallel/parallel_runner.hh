@@ -17,13 +17,13 @@
  * Determinism contract (what makes --jobs 8 byte-identical to
  * --jobs 1):
  *   - each task writes only its own index-addressed result slot;
- *   - results and captured stats shards are merged by ascending task
- *     index, never completion order;
+ *   - results are merged by ascending task index, never completion
+ *     order;
  *   - tasks open their own instrumentation sessions (enable() resets)
  *     and seed their own Rngs, so a cell's value cannot depend on
  *     which worker ran it or what ran before it;
  *   - jobs == 1 runs every task inline on the calling thread with no
- *     pool, no wrapping and no merge — today's exact code path.
+ *     pool.
  *
  * Exception semantics match the serial loop as well: the failure with
  * the lowest task index is rethrown on the submitting thread.
@@ -61,16 +61,6 @@ class ParallelRunner
 
     unsigned jobs() const { return jobCount; }
 
-    /**
-     * With stat collection on, each worker task runs bracketed by
-     * SimSlice::beginStatCapture()/captureStats() and the captured
-     * shards are folded into the calling thread's StatRegistry (as
-     * retired aggregates) in task-index order after the batch. Off by
-     * default; serial (jobs == 1) execution never wraps, so the
-     * calling thread's registry accumulates naturally as today.
-     */
-    void setCollectStats(bool collect) { collectStats = collect; }
-
     /** Run every task, return results by task index. */
     template <typename R>
     std::vector<R>
@@ -92,15 +82,13 @@ class ParallelRunner
     }
 
   private:
-    /** Dispatch fn(0..n-1) serially (jobs == 1) or across the pool,
-     *  handling the stat capture/merge bracketing. */
+    /** Dispatch fn(0..n-1) serially (jobs == 1) or across the pool. */
     void runIndexed(std::size_t n,
                     const std::function<void(std::size_t)> &fn);
 
     ThreadPool &pool();
 
     unsigned jobCount;
-    bool collectStats = false;
     std::unique_ptr<ThreadPool> workers; ///< lazy; never for jobs==1
 };
 

@@ -11,23 +11,6 @@ SimSlice::current()
 }
 
 void
-SimSlice::beginStatCapture()
-{
-    StatRegistry &reg = stats();
-    reg.setRetainRetired(true);
-    reg.resetAll();
-}
-
-FlatStats
-SimSlice::captureStats()
-{
-    StatRegistry &reg = stats();
-    FlatStats flat = reg.flatten();
-    reg.resetAll();
-    return flat;
-}
-
-void
 SimSlice::resetInstrumentation()
 {
     tracer().disable();
@@ -36,7 +19,6 @@ SimSlice::resetInstrumentation()
     profiler().clear();
     counters().disable();
     counters().reset();
-    stats().resetAll();
 }
 
 } // namespace aosd

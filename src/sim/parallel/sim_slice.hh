@@ -4,15 +4,15 @@
  *
  * Every piece of cross-cutting instrumentation state in the simulator
  * is thread-local: the trace ring (sim/trace.hh), the cycle-
- * attribution tree (sim/profile/profile.hh), the hardware counter file
- * (sim/counters/counters.hh) and the stat registry (sim/stats.hh) all
- * hand out the *calling thread's* instance, guarded by the
- * trcdetail::on / profdetail::on / ctrdetail::on thread-local
- * fast-path flags. SimSlice names that shard: it is the façade a
- * worker thread uses to reset its arenas before a task and to capture
- * what the task accumulated, in a value form the coordinating thread
- * can merge deterministically (task-index order, never completion
- * order — see parallel_runner.hh).
+ * attribution tree (sim/profile/profile.hh) and the hardware counter
+ * file (sim/counters/counters.hh) all hand out the *calling thread's*
+ * instance, guarded by the trcdetail::on / profdetail::on /
+ * ctrdetail::on thread-local fast-path flags. SimSlice names that
+ * shard: it is the façade a worker thread uses to reach or reset
+ * those three arenas. The counter sampler (sim/sampling) and the span
+ * tracer (sim/spantrace) are per-thread too but keep their own state.
+ * Results cross threads as task return values, merged in task-index
+ * order (see parallel_runner.hh).
  *
  * A SimSlice is never constructed; current() is a view of the calling
  * thread's thread_local state.
@@ -23,13 +23,12 @@
 
 #include "sim/counters/counters.hh"
 #include "sim/profile/profile.hh"
-#include "sim/stats.hh"
 #include "sim/trace.hh"
 
 namespace aosd
 {
 
-/** The calling thread's shard of tracer/profiler/counters/stats. */
+/** The calling thread's shard of tracer/profiler/counters. */
 class SimSlice
 {
   public:
@@ -39,17 +38,6 @@ class SimSlice
     Tracer &tracer() { return Tracer::instance(); }
     Profiler &profiler() { return Profiler::instance(); }
     HwCounters &counters() { return HwCounters::instance(); }
-    StatRegistry &stats() { return StatRegistry::instance(); }
-
-    /** Arm the slice for a stats-collecting task: retain retired
-     *  groups and zero everything already accumulated, so the capture
-     *  after the task holds exactly that task's events. */
-    void beginStatCapture();
-
-    /** Flatten everything the slice's registry accumulated and zero
-     *  it for the next task. Returns a value type the coordinating
-     *  thread can absorb in task-index order. */
-    FlatStats captureStats();
 
     /** Disable and clear every instrumentation arena on this thread —
      *  the worker-thread equivalent of a fresh process. */

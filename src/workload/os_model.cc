@@ -214,13 +214,13 @@ MachSystem::run(const AppProfile &app)
     row.app = app.name;
     row.structure = osStructure;
     row.elapsedSeconds = kernel.elapsedSeconds();
-    const StatGroup &s = kernel.stats();
-    row.addressSpaceSwitches = s.get(kstat::addrSpaceSwitches);
-    row.threadSwitches = s.get(kstat::threadSwitches);
-    row.systemCalls = s.get(kstat::syscalls);
-    row.emulatedInstructions = s.get(kstat::emulatedInstrs);
-    row.kernelTlbMisses = s.get(kstat::kernelTlbMisses);
-    row.otherExceptions = s.get(kstat::otherExceptions);
+    const SimKernel::Counts &counts = kernel.counts();
+    row.addressSpaceSwitches = counts.addrSpaceSwitches;
+    row.threadSwitches = counts.threadSwitches;
+    row.systemCalls = counts.syscalls;
+    row.emulatedInstructions = counts.emulatedInstrs;
+    row.kernelTlbMisses = counts.kernelTlbMisses;
+    row.otherExceptions = counts.otherExceptions;
     row.percentTimeInPrimitives =
         100.0 * static_cast<double>(kernel.primitiveCycles()) /
         static_cast<double>(std::max<Cycles>(kernel.elapsedCycles(), 1));

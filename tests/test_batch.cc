@@ -4,7 +4,7 @@
  * entry points): the central equivalence property — a batched run
  * leaves *exactly* the state of the same events issued one call at a
  * time through syscall(), trap(), ... (cycles, every hardware
- * counter, kernel stats, the profiler tree, the sampler series) on
+ * counter, kernel counts, the profiler tree, the sampler series) on
  * every Table 1 machine, under randomized event mixes — and the
  * CounterSampler::tickRun multi-interval regression (a batch spanning
  * several sample intervals emits one sample per boundary crossed,
@@ -57,14 +57,16 @@ struct RunState
     Cycles elapsed = 0;
     Cycles primitive = 0;
     CounterSet counters;
-    std::string stats;
+    SimKernel::Counts kernelCounts;
+    std::string series;
     std::string profile;
 
     bool
     operator==(const RunState &o) const
     {
         return elapsed == o.elapsed && primitive == o.primitive &&
-               counters == o.counters && stats == o.stats &&
+               counters == o.counters &&
+               kernelCounts == o.kernelCounts && series == o.series &&
                profile == o.profile;
     }
 };
@@ -138,13 +140,13 @@ runMix(MachineId mid, bool batched, std::uint64_t total_events,
     out.elapsed = kernel.elapsedCycles();
     out.primitive = kernel.primitiveCycles();
     out.counters = HwCounters::instance().snapshot();
-    out.stats = kernel.stats().toJson().dump();
+    out.kernelCounts = kernel.counts();
     out.profile = Profiler::instance().toJson().dump();
     if (sample_each) {
         CounterSampler::instance().finish(
             kernel.elapsedCycles(),
             static_cast<double>(kernel.primitiveCycles()));
-        out.stats += CounterSampler::instance().series().toJson().dump();
+        out.series = CounterSampler::instance().series().toJson().dump();
     }
     Profiler::instance().disable();
     Profiler::instance().clear();

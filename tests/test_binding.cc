@@ -44,7 +44,7 @@ TEST_F(BindingTest, BindToExportedInterface)
 TEST_F(BindingTest, BindToUnknownInterfaceFails)
 {
     EXPECT_FALSE(registry.bind("nope", client).has_value());
-    EXPECT_EQ(registry.stats().get("bind_failures"), 1u);
+    EXPECT_EQ(registry.bindFailures(), 1u);
 }
 
 TEST_F(BindingTest, DoubleExportIsFatal)

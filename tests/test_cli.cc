@@ -260,6 +260,11 @@ TEST(Cli, UnknownFlagsMissingValuesAndStrayArgumentsAreOneLine)
     expectRejected(run(cli, {"--jsn"}), "--jsn");
     expectRejected(run(cli, {"-"}), "'-'");
     expectRejected(run(cli, {"stray"}), "stray");
+    // An unknown flag followed by a value: the one line names the
+    // flag, not the value as a stray argument.
+    r = run(cli, {"--stats", "x"});
+    expectRejected(r, "--stats");
+    EXPECT_EQ(r.error, "prog: unknown flag '--stats'");
 
     r = run(cli, {"--trace"});
     expectRejected(r, "--trace");

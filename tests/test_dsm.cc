@@ -36,7 +36,7 @@ TEST(Dsm, LocalWriteIsCheap)
     IvyDsm dsm = makeDsm();
     double us = dsm.write(0, 0);
     EXPECT_LT(us, 1.0);
-    EXPECT_EQ(dsm.stats().get("write_faults"), 0u);
+    EXPECT_EQ(dsm.counts().writeFaults, 0u);
 }
 
 TEST(Dsm, RemoteReadReplicatesAndDowngradesWriter)
@@ -55,10 +55,10 @@ TEST(Dsm, SecondReadIsLocalHit)
 {
     IvyDsm dsm = makeDsm();
     dsm.read(1, 0);
-    std::uint64_t faults = dsm.stats().get("read_faults");
+    std::uint64_t faults = dsm.counts().readFaults;
     double us = dsm.read(1, 0);
     EXPECT_LT(us, 1.0);
-    EXPECT_EQ(dsm.stats().get("read_faults"), faults);
+    EXPECT_EQ(dsm.counts().readFaults, faults);
 }
 
 TEST(Dsm, WriteInvalidatesAllReplicas)
@@ -75,16 +75,16 @@ TEST(Dsm, WriteInvalidatesAllReplicas)
     EXPECT_EQ(dsm.copyHolders(0), 1u);
     EXPECT_EQ(dsm.access(0, 0), DsmAccess::None);
     EXPECT_EQ(dsm.access(1, 0), DsmAccess::None);
-    EXPECT_EQ(dsm.stats().get("invalidations"), 3u);
+    EXPECT_EQ(dsm.counts().invalidations, 3u);
     EXPECT_TRUE(dsm.coherent());
 }
 
 TEST(Dsm, WriterWithoutCopyFetchesThePage)
 {
     IvyDsm dsm = makeDsm();
-    std::uint64_t before = dsm.stats().get("page_transfers");
+    std::uint64_t before = dsm.counts().pageTransfers;
     dsm.write(1, 3); // node 1 never read page 3
-    EXPECT_EQ(dsm.stats().get("page_transfers"), before + 1);
+    EXPECT_EQ(dsm.counts().pageTransfers, before + 1);
     EXPECT_EQ(dsm.owner(3), 1u);
 }
 
@@ -92,8 +92,8 @@ TEST(Dsm, ReaderFaultChargesTrapOnFaultingNode)
 {
     IvyDsm dsm = makeDsm();
     dsm.read(1, 0);
-    EXPECT_EQ(dsm.nodeKernel(1).stats().get(kstat::traps), 1u);
-    EXPECT_EQ(dsm.nodeKernel(2).stats().get(kstat::traps), 0u);
+    EXPECT_EQ(dsm.nodeKernel(1).counts().traps, 1u);
+    EXPECT_EQ(dsm.nodeKernel(2).counts().traps, 0u);
 }
 
 TEST(Dsm, PagesAreIndependent)
@@ -113,7 +113,7 @@ TEST(Dsm, PingPongWritesAreExpensive)
         total += dsm.write(i % 2, 0);
     }
     // Every write after the first faults: false sharing is costly.
-    EXPECT_EQ(dsm.stats().get("write_faults"), 9u);
+    EXPECT_EQ(dsm.counts().writeFaults, 9u);
     EXPECT_GT(total, 9 * 100.0);
 }
 

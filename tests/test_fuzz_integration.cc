@@ -128,9 +128,9 @@ TEST(Integration, FullSystemStory)
     ports.grantSendRight(svc, app);
     ports.grantSendRight(reply, fs);
     kernel.contextSwitchTo(app);
-    std::uint64_t sc_before = kernel.stats().get(kstat::syscalls);
+    std::uint64_t sc_before = kernel.counts().syscalls;
     ASSERT_TRUE(portRpc(kernel, ports, app, fs, svc, reply, 128, 64));
-    EXPECT_EQ(kernel.stats().get(kstat::syscalls) - sc_before, 4u);
+    EXPECT_EQ(kernel.counts().syscalls - sc_before, 4u);
 
     // 4. Fine-grained threads chew on the result.
     ThreadPackage pkg(m, ThreadLevel::User);
@@ -143,8 +143,8 @@ TEST(Integration, FullSystemStory)
     // 5. Global sanity: time moved, primitives were counted, and the
     // primitive share of this IPC/VM-heavy sequence is substantial.
     EXPECT_GT(kernel.elapsedMicros(), 0.0);
-    EXPECT_GT(kernel.stats().get(kstat::addrSpaceSwitches), 2u);
-    EXPECT_GT(kernel.stats().get(kstat::traps), 2u);
+    EXPECT_GT(kernel.counts().addrSpaceSwitches, 2u);
+    EXPECT_GT(kernel.counts().traps, 2u);
     // (The page copies themselves are user-side byte moving, so the
     // primitive share sits near 10% even in this IPC-heavy sequence.)
     double prim_share =

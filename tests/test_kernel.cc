@@ -25,7 +25,7 @@ TEST(SimKernel, SyscallChargesAndCounts)
                                             Primitive::NullSyscall);
     k.syscall();
     k.syscall();
-    EXPECT_EQ(k.stats().get(kstat::syscalls), 2u);
+    EXPECT_EQ(k.counts().syscalls, 2u);
     EXPECT_EQ(k.elapsedCycles(), 2 * expected);
     EXPECT_EQ(k.primitiveCycles(), 2 * expected);
 }
@@ -35,8 +35,8 @@ TEST(SimKernel, TrapAndExceptionCounts)
     SimKernel k(makeMachine(MachineId::R3000));
     k.trap();
     k.otherException();
-    EXPECT_EQ(k.stats().get(kstat::traps), 1u);
-    EXPECT_EQ(k.stats().get(kstat::otherExceptions), 1u);
+    EXPECT_EQ(k.counts().traps, 1u);
+    EXPECT_EQ(k.counts().otherExceptions, 1u);
 }
 
 TEST(SimKernel, ContextSwitchCountsBothSwitchKinds)
@@ -45,11 +45,11 @@ TEST(SimKernel, ContextSwitchCountsBothSwitchKinds)
     AddressSpace &a = k.createSpace("a");
     k.contextSwitchTo(a);
     // An address-space switch implies a thread switch (Table 7 note).
-    EXPECT_EQ(k.stats().get(kstat::addrSpaceSwitches), 1u);
-    EXPECT_EQ(k.stats().get(kstat::threadSwitches), 1u);
+    EXPECT_EQ(k.counts().addrSpaceSwitches, 1u);
+    EXPECT_EQ(k.counts().threadSwitches, 1u);
     k.threadSwitch();
-    EXPECT_EQ(k.stats().get(kstat::threadSwitches), 2u);
-    EXPECT_EQ(k.stats().get(kstat::addrSpaceSwitches), 1u);
+    EXPECT_EQ(k.counts().threadSwitches, 2u);
+    EXPECT_EQ(k.counts().addrSpaceSwitches, 1u);
 }
 
 TEST(SimKernel, SwitchToCurrentSpaceIsFree)
@@ -60,7 +60,7 @@ TEST(SimKernel, SwitchToCurrentSpaceIsFree)
     Cycles before = k.elapsedCycles();
     k.contextSwitchTo(a);
     EXPECT_EQ(k.elapsedCycles(), before);
-    EXPECT_EQ(k.stats().get(kstat::addrSpaceSwitches), 1u);
+    EXPECT_EQ(k.counts().addrSpaceSwitches, 1u);
 }
 
 TEST(SimKernel, UntaggedTlbPurgedOnSwitch)
@@ -100,19 +100,19 @@ TEST(SimKernel, WorkingSetRefillCountsUserMisses)
     a.mapRange(0x100, 8, 0x900, {});
     a.setWorkingSet(0x100, 8);
     k.contextSwitchTo(a);
-    EXPECT_GE(k.stats().get(kstat::userTlbMisses), 8u);
-    std::uint64_t first = k.stats().get(kstat::userTlbMisses);
+    EXPECT_GE(k.counts().userTlbMisses, 8u);
+    std::uint64_t first = k.counts().userTlbMisses;
     k.touchWorkingSet(); // warm now
-    EXPECT_EQ(k.stats().get(kstat::userTlbMisses), first);
+    EXPECT_EQ(k.counts().userTlbMisses, first);
 }
 
 TEST(SimKernel, KernelTouchesCountKernelMisses)
 {
     SimKernel k(makeMachine(MachineId::R3000));
     k.touchPages({0x800, 0x801}, /*kernel_space=*/true);
-    EXPECT_EQ(k.stats().get(kstat::kernelTlbMisses), 2u);
+    EXPECT_EQ(k.counts().kernelTlbMisses, 2u);
     k.touchPages({0x800}, true); // warm
-    EXPECT_EQ(k.stats().get(kstat::kernelTlbMisses), 2u);
+    EXPECT_EQ(k.counts().kernelTlbMisses, 2u);
 }
 
 TEST(SimKernel, SoftwareKernelMissesAreExpensive)
@@ -130,7 +130,7 @@ TEST(SimKernel, EmulatedInstructions)
     SimKernel k(makeMachine(MachineId::R3000));
     k.emulateInstructions(10);
     k.emulateTestAndSet();
-    EXPECT_EQ(k.stats().get(kstat::emulatedInstrs), 11u);
+    EXPECT_EQ(k.counts().emulatedInstrs, 11u);
     EXPECT_GT(k.primitiveCycles(), 0u);
 }
 
@@ -146,7 +146,7 @@ TEST(SimKernel, PteChangeInvalidatesTlbEntry)
     ro.writable = false;
     k.pteChange(a, 0x100, ro);
     EXPECT_FALSE(k.tlb().lookup(0x100, a.asid()).hit);
-    EXPECT_EQ(k.stats().get(kstat::pteChanges), 1u);
+    EXPECT_EQ(k.counts().pteChanges, 1u);
     // The page table itself was updated.
     EXPECT_FALSE(a.pageTable().walk(0x100).pte->prot.writable);
 }
@@ -357,8 +357,8 @@ TEST(SimKernel, TracedTouchPagesEmitsEveryMissAndFill)
             EXPECT_EQ(got[i].phase, want[i].phase);
         }
         EXPECT_EQ(k.elapsedCycles(), t);
-        EXPECT_EQ(k.stats().get(kstat::userTlbMisses), 2u * w);
-        EXPECT_EQ(k.stats().get(kstat::kernelTlbMisses), 1u);
+        EXPECT_EQ(k.counts().userTlbMisses, 2u * w);
+        EXPECT_EQ(k.counts().kernelTlbMisses, 1u);
         EXPECT_EQ(counting.value(HwCounter::TlbMisses), 2u * w + 1);
         EXPECT_EQ(counting.value(HwCounter::TlbHits), 2u * w - 1);
         EXPECT_EQ(counting.value(HwCounter::TlbRefillCycles), t - t0);
@@ -371,7 +371,7 @@ TEST(SimKernel, ProfilerDoesNotChangeTlbAccounting)
     {
         Cycles elapsed;
         Cycles primitive;
-        StatGroup stats;
+        SimKernel::Counts stats;
         CounterSet counters;
     };
     // Two spaces whose working sets together overflow the TLB, plus
@@ -401,15 +401,15 @@ TEST(SimKernel, ProfilerDoesNotChangeTlbAccounting)
         }
         Profiler::instance().disable();
         Profiler::instance().clear();
-        return Outcome{k.elapsedCycles(), k.primitiveCycles(), k.stats(),
+        return Outcome{k.elapsedCycles(), k.primitiveCycles(), k.counts(),
                        HwCounters::instance().snapshot()};
     };
     for (MachineId id : {MachineId::R3000, MachineId::CVAX}) {
         SCOPED_TRACE(static_cast<int>(id));
         const Outcome plain = run(id, false);
         const Outcome profiled = run(id, true);
-        EXPECT_GT(plain.stats.get(kstat::userTlbMisses), 0u);
-        EXPECT_GT(plain.stats.get(kstat::kernelTlbMisses), 0u);
+        EXPECT_GT(plain.stats.userTlbMisses, 0u);
+        EXPECT_GT(plain.stats.kernelTlbMisses, 0u);
         EXPECT_EQ(plain.elapsed, profiled.elapsed);
         EXPECT_EQ(plain.primitive, profiled.primitive);
         EXPECT_EQ(plain.stats, profiled.stats);
@@ -430,12 +430,27 @@ TEST(SimKernel, RunUserCodeScalesWithAppPerformance)
 TEST(SimKernel, ResetAccountingClearsEverything)
 {
     SimKernel k(makeMachine(MachineId::R3000));
+    AddressSpace &s = k.createSpace("s");
+    s.mapRange(0x1000, 4, 0x9000, {});
+    s.setWorkingSet(0x1000, 4);
     k.syscall();
     k.trap();
+    k.otherException();
+    k.threadSwitch();
+    k.contextSwitchTo(s); // misses on the working set and its tables
+    k.emulateInstructions(3);
+    k.pteChange(s, 0x1000, {});
+    // Every count is live before the reset.
+    const SimKernel::Counts &c = k.counts();
+    for (std::uint64_t n :
+         {c.syscalls, c.traps, c.addrSpaceSwitches, c.threadSwitches,
+          c.emulatedInstrs, c.kernelTlbMisses, c.userTlbMisses,
+          c.otherExceptions, c.pteChanges})
+        EXPECT_GT(n, 0u);
     k.resetAccounting();
     EXPECT_EQ(k.elapsedCycles(), 0u);
     EXPECT_EQ(k.primitiveCycles(), 0u);
-    EXPECT_EQ(k.stats().get(kstat::syscalls), 0u);
+    EXPECT_EQ(k.counts(), SimKernel::Counts{});
 }
 
 TEST(SimKernel, ElapsedMicrosMatchesClock)

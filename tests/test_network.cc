@@ -77,7 +77,7 @@ TEST(Network, SharedSegmentSerializesFrames)
     ASSERT_EQ(order.size(), 2u);
     EXPECT_EQ(order[0], 0u); // first queued goes first
     EXPECT_GT(q.now(), t0);
-    EXPECT_EQ(net.stats().get("packets"), 2u);
+    EXPECT_EQ(net.packets(), 2u);
 }
 
 TEST(Network, PacketsCarrySequentialIds)

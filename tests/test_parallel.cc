@@ -3,10 +3,10 @@
  * Tests for the parallel simulation runner: thread-pool batch
  * semantics (full index coverage, index-addressed results, exception
  * propagation), the shard-merge operations every slice result flows
- * through (CounterSet, Histogram, ProfNode, StatRegistry — sum
- * semantics, identity, associativity), and the headline determinism
- * contract: report.json, counters.json and profile.json are
- * byte-identical between --jobs 1 and --jobs N.
+ * through (CounterSet, Histogram, ProfNode — sum semantics,
+ * identity, associativity), and the headline determinism contract:
+ * report.json, counters.json and profile.json are byte-identical
+ * between --jobs 1 and --jobs N.
  */
 
 #include <gtest/gtest.h>
@@ -25,7 +25,6 @@
 #include "sim/parallel/thread_pool.hh"
 #include "sim/profile/histogram.hh"
 #include "sim/profile/profile.hh"
-#include "sim/stats.hh"
 #include "study/counters_report.hh"
 #include "study/figures.hh"
 #include "study/profile_report.hh"
@@ -265,58 +264,6 @@ TEST(ShardMergeTest, ProfNodeMergeSumsMatchedChildren)
     empty.name = "total";
     a.mergeFrom(empty);
     EXPECT_EQ(a.toJson().dump(), before);
-}
-
-TEST(ShardMergeTest, RegistryAbsorbSumsFlattenedShards)
-{
-    StatRegistry &reg = StatRegistry::instance();
-    reg.resetAll();
-    reg.setRetainRetired(false);
-
-    FlatStats shard1{{"kernel", {{"traps", 3}, {"syscalls", 1}}}};
-    FlatStats shard2{{"kernel", {{"traps", 2}}},
-                     {"tlb", {{"misses", 9}}}};
-    reg.absorbRetired(shard1);
-    reg.absorbRetired(shard2);
-
-    FlatStats flat = reg.flatten();
-    EXPECT_EQ(flat["kernel"]["traps"], 5u);
-    EXPECT_EQ(flat["kernel"]["syscalls"], 1u);
-    EXPECT_EQ(flat["tlb"]["misses"], 9u);
-
-    reg.resetAll();
-    reg.setRetainRetired(false);
-}
-
-TEST(ShardMergeTest, ParallelStatsMatchSerialTotals)
-{
-    StatRegistry &reg = StatRegistry::instance();
-    reg.resetAll();
-    reg.setRetainRetired(false);
-
-    auto work = [](std::uint64_t n) {
-        return std::function<int()>([n]() -> int {
-            StatGroup g("work");
-            g.inc("items", n);
-            return static_cast<int>(n);
-        });
-    };
-    std::vector<std::function<int()>> tasks;
-    std::uint64_t expected = 0;
-    for (std::uint64_t n = 1; n <= 32; ++n) {
-        tasks.push_back(work(n));
-        expected += n;
-    }
-
-    ParallelRunner runner(4);
-    runner.setCollectStats(true);
-    runner.map<int>(tasks);
-
-    FlatStats flat = reg.flatten();
-    EXPECT_EQ(flat["work"]["items"], expected);
-
-    reg.resetAll();
-    reg.setRetainRetired(false);
 }
 
 // --------------------------------------------------------- determinism

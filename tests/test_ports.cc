@@ -42,7 +42,7 @@ TEST_F(PortsTest, SendRequiresARight)
     EXPECT_EQ(ports.send(client, p, 64), PortResult::NoRight);
     ports.grantSendRight(p, client);
     EXPECT_EQ(ports.send(client, p, 64), PortResult::Success);
-    EXPECT_EQ(ports.stats().get("rights_violations"), 1u);
+    EXPECT_EQ(ports.counts().rightsViolations, 1u);
 }
 
 TEST_F(PortsTest, MessagesArriveInOrder)
@@ -93,7 +93,7 @@ TEST_F(PortsTest, DestroyDropsQueuedMessages)
     EXPECT_FALSE(ports.destroy(p, client)); // non-owner cannot
     EXPECT_TRUE(ports.destroy(p, server));
     EXPECT_EQ(ports.send(client, p, 8), PortResult::NoSuchPort);
-    EXPECT_EQ(ports.stats().get("dropped_messages"), 1u);
+    EXPECT_EQ(ports.counts().droppedMessages, 1u);
 }
 
 TEST_F(PortsTest, EverySendAndReceiveIsASyscall)
@@ -104,7 +104,7 @@ TEST_F(PortsTest, EverySendAndReceiveIsASyscall)
     ports.send(client, p, 8);
     PortMessage m;
     ports.receive(server, p, m);
-    EXPECT_EQ(kernel.stats().get(kstat::syscalls), 2u);
+    EXPECT_EQ(kernel.counts().syscalls, 2u);
     EXPECT_GT(kernel.elapsedCycles(), 0u);
 }
 
@@ -124,9 +124,9 @@ TEST_F(PortsTest, RpcCostIdentity)
 
     ASSERT_TRUE(portRpc(kernel, ports, client, server, svc, reply,
                         64, 64));
-    EXPECT_EQ(kernel.stats().get(kstat::syscalls), 4u);
-    EXPECT_EQ(kernel.stats().get(kstat::addrSpaceSwitches), 2u);
-    EXPECT_GE(kernel.stats().get(kstat::syscalls), 2u);
+    EXPECT_EQ(kernel.counts().syscalls, 4u);
+    EXPECT_EQ(kernel.counts().addrSpaceSwitches, 2u);
+    EXPECT_GE(kernel.counts().syscalls, 2u);
 }
 
 TEST_F(PortsTest, RpcFailsWithoutReplyRight)

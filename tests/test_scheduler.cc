@@ -37,7 +37,7 @@ TEST_F(SchedulerTest, RunsThreadToCompletion)
     sched.run();
     EXPECT_EQ(runs, 3);
     EXPECT_EQ(sched.finishedCount(), 1u);
-    EXPECT_EQ(sched.stats().get("dispatches"), 3u);
+    EXPECT_EQ(sched.counts().dispatches, 3u);
 }
 
 TEST_F(SchedulerTest, RoundRobinAlternates)
@@ -95,7 +95,7 @@ TEST_F(SchedulerTest, WakeOfReadyThreadIsNoop)
         "t", a, [] { return ThreadRunState::Finished; });
     sched.wake(id); // Ready, not Blocked
     sched.run();
-    EXPECT_EQ(sched.stats().get("wakeups"), 0u);
+    EXPECT_EQ(sched.counts().wakeups, 0u);
 }
 
 TEST_F(SchedulerTest, CrossSpaceDispatchPaysContextSwitch)
@@ -104,7 +104,7 @@ TEST_F(SchedulerTest, CrossSpaceDispatchPaysContextSwitch)
     kernel.resetAccounting();
     sched.spawn("in-b", b, [] { return ThreadRunState::Finished; });
     sched.run();
-    EXPECT_EQ(kernel.stats().get(kstat::addrSpaceSwitches), 1u);
+    EXPECT_EQ(kernel.counts().addrSpaceSwitches, 1u);
 }
 
 TEST_F(SchedulerTest, SameSpaceDispatchIsThreadSwitchOnly)
@@ -114,8 +114,8 @@ TEST_F(SchedulerTest, SameSpaceDispatchIsThreadSwitchOnly)
     sched.spawn("t1", a, [] { return ThreadRunState::Finished; });
     sched.spawn("t2", a, [] { return ThreadRunState::Finished; });
     sched.run();
-    EXPECT_EQ(kernel.stats().get(kstat::addrSpaceSwitches), 0u);
-    EXPECT_EQ(kernel.stats().get(kstat::threadSwitches), 1u);
+    EXPECT_EQ(kernel.counts().addrSpaceSwitches, 0u);
+    EXPECT_EQ(kernel.counts().threadSwitches, 1u);
 }
 
 TEST_F(SchedulerTest, RunHonoursDispatchLimit)
@@ -149,7 +149,7 @@ TEST_F(SchedulerTest, ClientServerPingPong)
     EXPECT_EQ(phase, 2);
     EXPECT_EQ(sched.finishedCount(), 2u);
     // Two cross-space hops happened (a->b, b->a).
-    EXPECT_GE(kernel.stats().get(kstat::addrSpaceSwitches), 2u);
+    EXPECT_GE(kernel.counts().addrSpaceSwitches, 2u);
 }
 
 TEST_F(SchedulerTest, StateQueryOfUnknownThreadPanics)

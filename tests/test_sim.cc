@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for the simulation substrate: ticks, RNG, event queue,
- * stats and the table formatter.
+ * Unit tests for the simulation substrate: ticks, RNG, event queue
+ * and the table formatter.
  */
 
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 
 #include "sim/event_queue.hh"
 #include "sim/random.hh"
-#include "sim/stats.hh"
 #include "sim/table.hh"
 #include "sim/ticks.hh"
 
@@ -157,87 +156,6 @@ TEST(EventQueueDeathTest, SchedulingInThePastPanics)
     q.schedule(10, [] {});
     q.run();
     EXPECT_DEATH(q.schedule(5, [] {}), "past");
-}
-
-TEST(Stats, CounterAccumulates)
-{
-    Counter c;
-    c.inc();
-    c.inc(9);
-    EXPECT_EQ(c.value(), 10u);
-    c.reset();
-    EXPECT_EQ(c.value(), 0u);
-}
-
-TEST(Stats, DistributionMoments)
-{
-    Distribution d;
-    for (double v : {1.0, 2.0, 3.0, 4.0})
-        d.sample(v);
-    EXPECT_EQ(d.count(), 4u);
-    EXPECT_DOUBLE_EQ(d.min(), 1.0);
-    EXPECT_DOUBLE_EQ(d.max(), 4.0);
-    EXPECT_DOUBLE_EQ(d.mean(), 2.5);
-    EXPECT_NEAR(d.variance(), 5.0 / 3.0, 1e-9);
-    EXPECT_NEAR(d.stddev(), std::sqrt(5.0 / 3.0), 1e-9);
-}
-
-TEST(Stats, DistributionEmptyAndSingleSampleNeverNaN)
-{
-    Distribution d;
-    EXPECT_DOUBLE_EQ(d.mean(), 0.0);
-    EXPECT_DOUBLE_EQ(d.variance(), 0.0);
-    EXPECT_DOUBLE_EQ(d.stddev(), 0.0);
-    EXPECT_DOUBLE_EQ(d.min(), 0.0);
-    EXPECT_DOUBLE_EQ(d.max(), 0.0);
-
-    d.sample(7.5); // one sample: moments defined, spread zero
-    EXPECT_DOUBLE_EQ(d.mean(), 7.5);
-    EXPECT_DOUBLE_EQ(d.variance(), 0.0);
-    EXPECT_DOUBLE_EQ(d.stddev(), 0.0);
-
-    d.reset(); // reset returns to the guarded empty state
-    EXPECT_EQ(d.count(), 0u);
-    EXPECT_DOUBLE_EQ(d.mean(), 0.0);
-    EXPECT_DOUBLE_EQ(d.stddev(), 0.0);
-}
-
-TEST(Stats, RegistryResetAllDropsRetiredAggregates)
-{
-    StatRegistry &reg = StatRegistry::instance();
-    reg.setRetainRetired(true);
-    {
-        StatGroup g("transient");
-        g.inc("events", 3);
-    } // destruction folds the counters into "transient.retired"
-
-    auto snapshotHas = [&](const std::string &name) {
-        Json snap = reg.toJson();
-        const Json &groups = snap.at("stat_groups");
-        for (std::size_t i = 0; i < groups.size(); ++i)
-            if (groups.at(i).at("name").asString() == name)
-                return true;
-        return false;
-    };
-    EXPECT_TRUE(snapshotHas("transient.retired"));
-
-    reg.resetAll(); // a reset registry reads as a fresh run
-    EXPECT_FALSE(snapshotHas("transient.retired"));
-    EXPECT_TRUE(reg.retainsRetired()); // retention itself persists
-
-    reg.setRetainRetired(false);
-}
-
-TEST(Stats, GroupCountersIndependent)
-{
-    StatGroup g("kernel");
-    g.inc("syscalls");
-    g.inc("traps", 5);
-    EXPECT_EQ(g.get("syscalls"), 1u);
-    EXPECT_EQ(g.get("traps"), 5u);
-    EXPECT_EQ(g.get("absent"), 0u);
-    g.reset();
-    EXPECT_EQ(g.get("traps"), 0u);
 }
 
 TEST(Table, RendersAlignedColumns)

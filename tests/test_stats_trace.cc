@@ -1,9 +1,8 @@
 /**
  * @file
  * Tests for the observability layer: the JSON number writer against
- * an exhaustive probe, JSON round-trips of the StatRegistry, trace
- * ring-buffer overflow behaviour, and event ordering under a
- * simulated context switch.
+ * an exhaustive probe, trace ring-buffer overflow behaviour, and
+ * event ordering under a simulated context switch.
  */
 
 #include <gtest/gtest.h>
@@ -20,7 +19,6 @@
 #include "arch/machines.hh"
 #include "os/kernel/kernel.hh"
 #include "sim/json.hh"
-#include "sim/stats.hh"
 #include "sim/trace.hh"
 
 using namespace aosd;
@@ -28,7 +26,7 @@ using namespace aosd;
 namespace
 {
 
-/** Restore global tracer/registry state around each test. */
+/** Restore global tracer state around each test. */
 class ObservabilityTest : public ::testing::Test
 {
   protected:
@@ -37,11 +35,9 @@ class ObservabilityTest : public ::testing::Test
     {
         Tracer::instance().disable();
         Tracer::instance().clear();
-        StatRegistry::instance().setRetainRetired(false);
     }
 };
 
-using StatsJsonTest = ObservabilityTest;
 using TraceRingTest = ObservabilityTest;
 using TraceOrderTest = ObservabilityTest;
 
@@ -231,75 +227,6 @@ TEST(JsonTest, ObjectPreservesInsertionOrder)
     EXPECT_EQ(doc.items()[0].first, "zebra");
     EXPECT_EQ(doc.items()[1].first, "alpha");
     EXPECT_EQ(doc.items()[2].first, "mid");
-}
-
-// ---- StatRegistry -------------------------------------------------
-
-TEST_F(StatsJsonTest, RegistryJsonRoundTrip)
-{
-    StatGroup a("alpha");
-    a.inc("x", 3);
-    a.inc("y", 7);
-    StatGroup b("beta");
-    b.inc("z", 11);
-
-    Json snap = StatRegistry::instance().toJson();
-    std::string err;
-    Json back = Json::parse(snap.dump(2), &err);
-    ASSERT_TRUE(err.empty()) << err;
-
-    std::vector<StatGroup> parsed =
-        StatRegistry::parseSnapshot(back);
-    // The snapshot includes every live group in the process (other
-    // tests' fixtures may be alive); ours must round-trip exactly.
-    bool found_a = false, found_b = false;
-    for (const StatGroup &g : parsed) {
-        if (g.groupName() == "alpha" && g == a)
-            found_a = true;
-        if (g.groupName() == "beta" && g == b)
-            found_b = true;
-    }
-    EXPECT_TRUE(found_a);
-    EXPECT_TRUE(found_b);
-}
-
-TEST_F(StatsJsonTest, GroupsRegisterForTheirLifetime)
-{
-    const StatRegistry &reg = StatRegistry::instance();
-    std::size_t before = reg.groups().size();
-    {
-        StatGroup g("ephemeral");
-        g.inc("n");
-        EXPECT_EQ(reg.groups().size(), before + 1);
-        EXPECT_NE(reg.findGroup("ephemeral"), nullptr);
-    }
-    EXPECT_EQ(reg.groups().size(), before);
-    EXPECT_EQ(reg.findGroup("ephemeral"), nullptr);
-}
-
-TEST_F(StatsJsonTest, RetiredCountersAccumulateWhenRetained)
-{
-    StatRegistry &reg = StatRegistry::instance();
-    reg.setRetainRetired(true);
-    for (int i = 0; i < 3; ++i) {
-        StatGroup g("transient");
-        g.inc("events", 5);
-    }
-    Json snap = reg.toJson();
-    bool found = false;
-    const Json &groups = snap.at("stat_groups");
-    for (std::size_t i = 0; i < groups.size(); ++i) {
-        const Json &g = groups.at(i);
-        if (g.at("name").asString() == "transient.retired") {
-            EXPECT_EQ(g.at("counters").at("events").asUint(), 15u);
-            found = true;
-        }
-    }
-    EXPECT_TRUE(found);
-    reg.setRetainRetired(false);
-    // Disabling retention clears the aggregate.
-    EXPECT_EQ(reg.toJson().dump().find("transient.retired"),
-              std::string::npos);
 }
 
 // ---- trace ring buffer --------------------------------------------

@@ -167,7 +167,7 @@ TEST(ThreadPackage, RunsAllWorkToCompletion)
     pkg.create({{300, -1}});
     pkg.runToCompletion();
     EXPECT_TRUE(pkg.allDone());
-    EXPECT_EQ(pkg.stats().get("slices"), 3u);
+    EXPECT_EQ(pkg.counts().slices, 3u);
     EXPECT_GE(pkg.elapsedCycles(), 600u);
 }
 
@@ -179,8 +179,8 @@ TEST(ThreadPackage, ChargesCreatesAndSwitches)
     pkg.create({{10, -1}, {10, -1}});
     pkg.runToCompletion();
     // Round robin alternates threads: at least 3 switches.
-    EXPECT_GE(pkg.stats().get("switches"), 3u);
-    EXPECT_EQ(pkg.stats().get("creates"), 2u);
+    EXPECT_GE(pkg.counts().switches, 3u);
+    EXPECT_EQ(pkg.counts().creates, 2u);
 }
 
 TEST(ThreadPackage, KernelLevelCostsMoreThanUserLevel)
@@ -209,8 +209,8 @@ TEST(ThreadPackage, LocksAreMutuallyExclusiveAcrossYields)
     pkg.create({{10, 0}, {10, -1}});
     pkg.runToCompletion();
     EXPECT_TRUE(pkg.allDone());
-    EXPECT_GE(pkg.stats().get("lock_contended"), 1u);
-    EXPECT_EQ(pkg.stats().get("lock_acquires"), 2u);
+    EXPECT_GE(pkg.counts().lockContended, 1u);
+    EXPECT_EQ(pkg.counts().lockAcquires, 2u);
 }
 
 TEST(ThreadPackage, DeterministicAcrossRuns)

@@ -166,13 +166,23 @@ TEST(Tlb, EntriesForAsidCounts)
 
 TEST(TlbDeathTest, AllEntriesLockedPanics)
 {
+    // A desc that lets every entry lock leaves a later fill no
+    // victim; the constructor rejects it as a configuration error.
     TlbDesc d;
     d.entries = 2;
     d.lockableEntries = 2;
+    EXPECT_DEATH(Tlb{d}, "TLB has 2 lockable entries of 2");
+    d.lockableEntries = 3;
+    EXPECT_DEATH(Tlb{d}, "TLB has 3 lockable entries of 2");
+    // One replaceable entry is enough: fills evict it.
+    d.lockableEntries = 1;
     Tlb tlb(d);
     tlb.insert(1, 0, 1, {}, true);
-    tlb.insert(2, 0, 2, {}, true);
-    EXPECT_DEATH(tlb.insert(3, 0, 3, {}), "locked");
+    tlb.insert(2, 0, 2, {});
+    tlb.insert(3, 0, 3, {});
+    EXPECT_TRUE(tlb.lookup(1, 0).hit);
+    EXPECT_TRUE(tlb.lookup(3, 0).hit);
+    EXPECT_FALSE(tlb.lookup(2, 0).hit);
 }
 
 TEST(TlbDeathTest, LockingPastTheLimitIsFatal)

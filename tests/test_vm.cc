@@ -41,7 +41,7 @@ TEST_F(VmTest, ZeroFillMapsWritablePages)
 TEST_F(VmTest, UnmappedAccessFaults)
 {
     EXPECT_EQ(vm.access(client, 0x500, false), FaultResult::NotMapped);
-    EXPECT_EQ(kernel.stats().get(kstat::traps), 1u);
+    EXPECT_EQ(kernel.counts().traps, 1u);
 }
 
 TEST_F(VmTest, CowShareMakesBothSidesReadOnly)
@@ -97,9 +97,9 @@ TEST_F(VmTest, CowBreakChargesTrapAndPteChange)
     vm.shareCopyOnWrite(client, 0x100, server, 0x200, 1);
     kernel.resetAccounting();
     vm.access(server, 0x200, true);
-    EXPECT_EQ(kernel.stats().get(kstat::traps), 1u);
-    EXPECT_EQ(kernel.stats().get(kstat::pteChanges), 1u);
-    EXPECT_EQ(kernel.stats().get("cow_breaks"), 1u);
+    EXPECT_EQ(kernel.counts().traps, 1u);
+    EXPECT_EQ(kernel.counts().pteChanges, 1u);
+    EXPECT_EQ(vm.counts().cowBreaks, 1u);
     EXPECT_GT(kernel.elapsedCycles(), 0u);
 }
 
@@ -161,9 +161,9 @@ TEST_F(VmTest, ReflectionCostsTwoBoundaryCrossings)
                       [](AddressSpace &, Vpn, bool) { return true; });
     kernel.resetAccounting();
     vm.access(client, 0x100, true);
-    EXPECT_EQ(kernel.stats().get(kstat::traps), 1u);
-    EXPECT_EQ(kernel.stats().get(kstat::syscalls), 2u);
-    EXPECT_EQ(kernel.stats().get("reflected_faults"), 1u);
+    EXPECT_EQ(kernel.counts().traps, 1u);
+    EXPECT_EQ(kernel.counts().syscalls, 2u);
+    EXPECT_EQ(vm.counts().reflectedFaults, 1u);
 }
 
 TEST_F(VmTest, HandlerFailureReportsProtectionError)
@@ -184,7 +184,7 @@ TEST_F(VmTest, ProtectSweepChargesPerPage)
     kernel.resetAccounting();
     PageProt ro;
     vm.protect(client, 0x100, 8, ro);
-    EXPECT_EQ(kernel.stats().get(kstat::pteChanges), 8u);
+    EXPECT_EQ(kernel.counts().pteChanges, 8u);
 }
 
 } // namespace

@@ -41,9 +41,9 @@ TEST_F(VmClientTest, GcScansPagesOnFirstTouch)
     gc.mutatorAccess(0x105, false);
     EXPECT_EQ(gc.scannedPages(), 1u);
     // Second access to the same page does not fault again.
-    std::uint64_t traps = kernel.stats().get(kstat::traps);
+    std::uint64_t traps = kernel.counts().traps;
     gc.mutatorAccess(0x105, true);
-    EXPECT_EQ(kernel.stats().get(kstat::traps), traps);
+    EXPECT_EQ(kernel.counts().traps, traps);
     EXPECT_EQ(gc.scannedPages(), 1u);
 }
 
@@ -66,7 +66,7 @@ TEST_F(VmClientTest, GcFaultsChargeScanWork)
     // Trap + 2 crossings + PTE-ish work + the scan itself.
     EXPECT_GT(kernel.elapsedCycles(),
               GcBarrier::scanInstructionsPerPage / 4);
-    EXPECT_EQ(kernel.stats().get("reflected_faults"), 1u);
+    EXPECT_EQ(vm.counts().reflectedFaults, 1u);
 }
 
 TEST_F(VmClientTest, GcRestartResetsProgress)
@@ -77,9 +77,9 @@ TEST_F(VmClientTest, GcRestartResetsProgress)
     gc.startCollection(0x100, 16);
     EXPECT_EQ(gc.scannedPages(), 0u);
     // The page is protected again: the next touch faults.
-    std::uint64_t reflected = kernel.stats().get("reflected_faults");
+    std::uint64_t reflected = vm.counts().reflectedFaults;
     gc.mutatorAccess(0x100, false);
-    EXPECT_EQ(kernel.stats().get("reflected_faults"), reflected + 1);
+    EXPECT_EQ(vm.counts().reflectedFaults, reflected + 1);
 }
 
 // ---- incremental checkpoint ---------------------------------------------
@@ -112,7 +112,7 @@ TEST_F(VmClientTest, CheckpointReadsNeverFault)
     ckpt.begin(0x100, 16);
     kernel.resetAccounting();
     EXPECT_EQ(vm.access(space, 0x103, false), FaultResult::Resolved);
-    EXPECT_EQ(kernel.stats().get(kstat::traps), 0u);
+    EXPECT_EQ(kernel.counts().traps, 0u);
 }
 
 // ---- transactions ---------------------------------------------------------
@@ -176,8 +176,8 @@ TEST_F(VmClientTest, TransactionFaultsChargePrimitives)
     auto t1 = tx.begin();
     tx.read(t1, 0x100);
     tx.write(t1, 0x101);
-    EXPECT_EQ(kernel.stats().get(kstat::traps), 2u);
-    EXPECT_GE(kernel.stats().get(kstat::pteChanges), 2u);
+    EXPECT_EQ(kernel.counts().traps, 2u);
+    EXPECT_GE(kernel.counts().pteChanges, 2u);
 }
 
 } // namespace

@@ -8,7 +8,6 @@
  *   aosd_report --json report.json   # ... to a file
  *   aosd_report --trace trace.json   # also write a chrome://tracing
  *                                    # timeline of the whole run
- *   aosd_report --stats stats.json   # also snapshot every StatGroup
  *   aosd_report --jobs 8             # fan the figure grid over 8
  *                                    # worker threads
  *   aosd_report --timeseries timeseries.json
@@ -36,7 +35,6 @@
 #include "sim/cli.hh"
 #include "sim/logging.hh"
 #include "sim/parallel/parallel_runner.hh"
-#include "sim/stats.hh"
 #include "sim/table.hh"
 #include "sim/trace.hh"
 #include "study/figures.hh"
@@ -93,7 +91,6 @@ main(int argc, char **argv)
     bool json_out = false;
     std::string json_path;
     std::string trace_path;
-    std::string stats_path;
     std::string timeseries_path;
     std::string spans_path;
     unsigned jobs = ParallelRunner::defaultJobs();
@@ -105,8 +102,6 @@ main(int argc, char **argv)
         .text("--trace", "path",
               "write a chrome://tracing timeline (forces --jobs 1)",
               trace_path)
-        .text("--stats", "path", "write a StatRegistry snapshot",
-              stats_path)
         .text("--timeseries", "path",
               "sample the workloads and write timeseries.json "
               "(per-interval event rates)",
@@ -129,12 +124,8 @@ main(int argc, char **argv)
 
     if (!trace_path.empty())
         Tracer::instance().enable(1 << 16);
-    if (!stats_path.empty())
-        StatRegistry::instance().setRetainRetired(true);
 
     ParallelRunner runner(jobs);
-    if (!stats_path.empty())
-        runner.setCollectStats(true);
     Json report = buildReport(runner);
 
     if (!timeseries_path.empty() &&
@@ -156,10 +147,6 @@ main(int argc, char **argv)
                          Tracer::instance().dropped()),
                      trace_path.c_str());
     }
-
-    if (!stats_path.empty() &&
-        !writeFile(stats_path, StatRegistry::instance().toJson().dump(1)))
-        return 1;
 
     if (!json_out)
         printTextSummary(report);
