@@ -10,17 +10,6 @@ namespace aosd
 {
 
 bool
-PageTable::protect(Vpn vpn, PageProt prot)
-{
-    WalkResult r = walk(vpn);
-    if (!r.pte)
-        return false;
-    r.pte->prot = prot;
-    map(vpn, *r.pte);
-    return true;
-}
-
-bool
 PageTable::update(Vpn vpn, const Pte &pte)
 {
     WalkResult r = walk(vpn);
@@ -154,6 +143,29 @@ class MultiLevelPageTable : public PageTable
         return true;
     }
 
+    /** Edit the PTE in place. Under a superpage that is the region's
+     *  one terminal PTE, so the whole 256KB region changes with it. */
+    bool
+    protect(Vpn vpn, PageProt prot) override
+    {
+        Pte *pte = entry(vpn).first;
+        if (!pte)
+            return false;
+        pte->prot = prot;
+        return true;
+    }
+
+    /** False under a superpage: one page cannot take its own PTE. */
+    bool
+    update(Vpn vpn, const Pte &pte) override
+    {
+        auto [found, terminal] = entry(vpn);
+        if (!found || terminal)
+            return false;
+        *found = pte;
+        return true;
+    }
+
     void
     unmap(Vpn vpn) override
     {
@@ -234,6 +246,27 @@ class MultiLevelPageTable : public PageTable
         unsigned i2 = (vpn >> l3Bits) & ((1 << l2Bits) - 1);
         unsigned i1 = vpn >> (l3Bits + l2Bits);
         return {i1, i2, i3};
+    }
+
+    /** The PTE that maps `vpn` (null if none), and whether it is a
+     *  level-2 terminal. */
+    std::pair<Pte *, bool>
+    entry(Vpn vpn)
+    {
+        auto [i1, i2, i3] = split(vpn);
+        auto it1 = level1.find(i1);
+        if (it1 == level1.end())
+            return {nullptr, false};
+        Level2 &l2 = it1->second;
+        if (auto itT = l2.terminals.find(i2); itT != l2.terminals.end())
+            return {&itT->second, true};
+        auto it2 = l2.children.find(i2);
+        if (it2 == l2.children.end())
+            return {nullptr, false};
+        auto it3 = it2->second.ptes.find(i3);
+        if (it3 == it2->second.ptes.end())
+            return {nullptr, false};
+        return {&it3->second, false};
     }
 
     std::map<unsigned, Level2> level1;

@@ -63,13 +63,14 @@ class PageTable
     /** Walk the table. */
     virtual WalkResult walk(Vpn vpn) const = 0;
 
-    /** Change protection on an existing mapping, keeping every other
-     *  PTE field. The base walks once and re-maps what it found; the
-     *  linear and hashed tables edit the PTE in place.
+    /** Change protection on an existing mapping in place, keeping
+     *  every other PTE field. Under a superpage this changes the
+     *  region's one terminal PTE.
      *  @return false if the page is not mapped (nothing changes). */
-    virtual bool protect(Vpn vpn, PageProt prot);
+    virtual bool protect(Vpn vpn, PageProt prot) = 0;
 
-    /** Update a full PTE in place. @return false if unmapped. */
+    /** Update a full PTE in place. @return false if unmapped or, on
+     *  the multi-level table, covered by a superpage. */
     virtual bool update(Vpn vpn, const Pte &pte);
 
     /**

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <string_view>
 
 #include "sim/logging.hh"
 
@@ -15,7 +16,7 @@ Json
 Json::array()
 {
     Json j;
-    j.kind_ = Kind::Array;
+    j.node.emplace<Array>();
     return j;
 }
 
@@ -23,24 +24,24 @@ Json
 Json::object()
 {
     Json j;
-    j.kind_ = Kind::Object;
+    j.node.emplace<Object>();
     return j;
 }
 
 bool
 Json::asBool() const
 {
-    if (kind_ != Kind::Bool)
-        fatal("JSON value is not a bool");
-    return boolValue;
+    if (const bool *b = std::get_if<bool>(&node))
+        return *b;
+    fatal("JSON value is not a bool");
 }
 
 double
 Json::asNumber() const
 {
-    if (kind_ != Kind::Number)
-        fatal("JSON value is not a number");
-    return numValue;
+    if (const double *d = std::get_if<double>(&node))
+        return *d;
+    fatal("JSON value is not a number");
 }
 
 std::uint64_t
@@ -55,53 +56,56 @@ Json::asUint() const
 const std::string &
 Json::asString() const
 {
-    if (kind_ != Kind::String)
-        fatal("JSON value is not a string");
-    return strValue;
+    if (const std::string *s = std::get_if<std::string>(&node))
+        return *s;
+    fatal("JSON value is not a string");
 }
 
 void
 Json::push(Json v)
 {
-    if (kind_ == Kind::Null)
-        kind_ = Kind::Array;
-    if (kind_ != Kind::Array)
+    if (isNull())
+        node.emplace<Array>();
+    Array *arr = std::get_if<Array>(&node);
+    if (!arr)
         fatal("push on a non-array JSON value");
-    arr.push_back(std::move(v));
+    arr->push_back(std::move(v));
 }
 
 std::size_t
 Json::size() const
 {
-    if (kind_ == Kind::Array)
-        return arr.size();
-    if (kind_ == Kind::Object)
-        return obj.size();
+    if (const Array *arr = std::get_if<Array>(&node))
+        return arr->size();
+    if (const Object *obj = std::get_if<Object>(&node))
+        return obj->size();
     return 0;
 }
 
 const Json &
 Json::at(std::size_t i) const
 {
-    if (kind_ != Kind::Array || i >= arr.size())
+    const Array *arr = std::get_if<Array>(&node);
+    if (!arr || i >= arr->size())
         fatal("JSON array index out of range");
-    return arr[i];
+    return (*arr)[i];
 }
 
 void
 Json::set(const std::string &key, Json v)
 {
-    if (kind_ == Kind::Null)
-        kind_ = Kind::Object;
-    if (kind_ != Kind::Object)
+    if (isNull())
+        node.emplace<Object>();
+    Object *obj = std::get_if<Object>(&node);
+    if (!obj)
         fatal("set on a non-object JSON value");
-    for (auto &kv : obj) {
+    for (auto &kv : *obj) {
         if (kv.first == key) {
             kv.second = std::move(v);
             return;
         }
     }
-    obj.emplace_back(key, std::move(v));
+    obj->emplace_back(key, std::move(v));
 }
 
 bool
@@ -121,20 +125,19 @@ Json::at(const std::string &key) const
 const Json *
 Json::find(const std::string &key) const
 {
-    if (kind_ != Kind::Object)
-        return nullptr;
-    for (const auto &kv : obj)
-        if (kv.first == key)
-            return &kv.second;
+    if (const Object *obj = std::get_if<Object>(&node))
+        for (const auto &kv : *obj)
+            if (kv.first == key)
+                return &kv.second;
     return nullptr;
 }
 
 const std::vector<std::pair<std::string, Json>> &
 Json::items() const
 {
-    if (kind_ != Kind::Object)
-        fatal("items() on a non-object JSON value");
-    return obj;
+    if (const Object *obj = std::get_if<Object>(&node))
+        return *obj;
+    fatal("items() on a non-object JSON value");
 }
 
 namespace
@@ -182,27 +185,34 @@ appendQuoted(std::string &out, const std::string &s)
 void
 appendNumber(std::string &out, double d)
 {
-    char buf[32];
     if (!std::isfinite(d)) {
         out += "null"; // JSON has no NaN/Inf
-    } else if (d == std::floor(d) && std::fabs(d) < 1e15) {
+        return;
+    }
+    char buf[32];
+    char *end = buf;
+    if (d == std::floor(d) && std::fabs(d) < 1e15) {
         // Exact, with "%.0f"'s "-0" for negative zero.
-        out.append(buf, std::to_chars(buf, buf + sizeof(buf), d,
-                                      std::chars_format::fixed).ptr);
+        end = std::to_chars(buf, buf + sizeof(buf), d,
+                            std::chars_format::fixed).ptr;
     } else {
         // to_chars writes the fewest digits that round-trip, so no
-        // shorter "%.{p}g" can: start the search at its digit count.
-        // "%.17g" always round-trips.
-        char *end = std::to_chars(buf, buf + sizeof(buf), d,
-                                  std::chars_format::scientific).ptr;
+        // shorter "%.{p}g" (to_chars general, precision p) can: start
+        // at its digit count. At a power-of-two boundary the rounded
+        // p-digit value can still miss, so step up until it reads
+        // back; "%.17g" always does.
+        end = std::to_chars(buf, buf + sizeof(buf), d,
+                            std::chars_format::scientific).ptr;
         int prec = 0;
         for (char *c = buf; c != end && *c != 'e'; ++c)
             prec += std::isdigit(static_cast<unsigned char>(*c)) ? 1 : 0;
-        int n = std::snprintf(buf, sizeof(buf), "%.*g", prec, d);
-        while (prec < 17 && std::strtod(buf, nullptr) != d)
-            n = std::snprintf(buf, sizeof(buf), "%.*g", ++prec, d);
-        out.append(buf, static_cast<std::size_t>(n));
+        for (double back = 0; back != d && prec <= 17; ++prec) {
+            end = std::to_chars(buf, buf + sizeof(buf), d,
+                                std::chars_format::general, prec).ptr;
+            std::from_chars(buf, end, back);
+        }
     }
+    out.append(buf, end);
 }
 
 } // namespace
@@ -217,20 +227,21 @@ Json::dumpTo(std::string &out, int indent, int depth) const
         out.append(static_cast<std::size_t>(indent) * d, ' ');
     };
 
-    switch (kind_) {
+    switch (kind()) {
       case Kind::Null:
         out += "null";
         break;
       case Kind::Bool:
-        out += boolValue ? "true" : "false";
+        out += std::get<bool>(node) ? "true" : "false";
         break;
       case Kind::Number:
-        appendNumber(out, numValue);
+        appendNumber(out, std::get<double>(node));
         break;
       case Kind::String:
-        appendQuoted(out, strValue);
+        appendQuoted(out, std::get<std::string>(node));
         break;
-      case Kind::Array:
+      case Kind::Array: {
+        const Array &arr = std::get<Array>(node);
         if (arr.empty()) {
             out += "[]";
             break;
@@ -245,7 +256,9 @@ Json::dumpTo(std::string &out, int indent, int depth) const
         newline(depth);
         out += ']';
         break;
-      case Kind::Object:
+      }
+      case Kind::Object: {
+        const Object &obj = std::get<Object>(node);
         if (obj.empty()) {
             out += "{}";
             break;
@@ -262,6 +275,7 @@ Json::dumpTo(std::string &out, int indent, int depth) const
         newline(depth);
         out += '}';
         break;
+      }
     }
 }
 
@@ -273,28 +287,6 @@ Json::dump(int indent) const
     if (indent >= 0)
         out += '\n';
     return out;
-}
-
-bool
-Json::operator==(const Json &o) const
-{
-    if (kind_ != o.kind_)
-        return false;
-    switch (kind_) {
-      case Kind::Null:
-        return true;
-      case Kind::Bool:
-        return boolValue == o.boolValue;
-      case Kind::Number:
-        return numValue == o.numValue;
-      case Kind::String:
-        return strValue == o.strValue;
-      case Kind::Array:
-        return arr == o.arr;
-      case Kind::Object:
-        return obj == o.obj;
-    }
-    return false;
 }
 
 namespace
@@ -353,14 +345,12 @@ class Parser
     }
 
     bool
-    literal(const char *word)
+    literal(std::string_view word)
     {
-        std::size_t n = std::string(word).size();
-        if (src.compare(pos, n, word) == 0) {
-            pos += n;
-            return true;
-        }
-        return false;
+        if (!std::string_view(src).substr(pos).starts_with(word))
+            return false;
+        pos += word.size();
+        return true;
     }
 
     Json
@@ -538,19 +528,23 @@ class Parser
     number()
     {
         std::size_t start = pos;
-        if (consume('-')) {}
+        consume('-');
         while (pos < src.size() &&
                (std::isdigit(static_cast<unsigned char>(src[pos])) ||
                 src[pos] == '.' || src[pos] == 'e' || src[pos] == 'E' ||
                 src[pos] == '+' || src[pos] == '-'))
             ++pos;
-        std::string tok = src.substr(start, pos - start);
-        char *end = nullptr;
-        double d = std::strtod(tok.c_str(), &end);
-        if (end == tok.c_str() || *end != '\0') {
+        const char *last = src.data() + pos;
+        double d = 0;
+        auto [end, ec] = std::from_chars(src.data() + start, last, d);
+        if (ec == std::errc::invalid_argument || end != last) {
             fail("malformed number");
             return Json();
         }
+        // from_chars also reports underflow as out of range; strtod's
+        // rule reads it as +-0 and overflow as inf.
+        if (ec == std::errc::result_out_of_range)
+            d = std::strtod(src.data() + start, nullptr);
         if (!std::isfinite(d)) {
             fail("number out of range");
             return Json();

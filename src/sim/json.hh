@@ -7,15 +7,21 @@
  * and the regression gate needs to read it back. This is a
  * deliberately small, dependency-free implementation: objects
  * preserve insertion order so emitted reports diff cleanly.
+ *
+ * A node is one 40-byte std::variant whose index is its Kind. Numbers
+ * are written as integers when whole and below 1e15, otherwise as the
+ * shortest "%.{p}g" (std::to_chars general) that std::from_chars reads
+ * back exactly; the parser reads them with std::from_chars in place.
  */
 
 #ifndef AOSD_SIM_JSON_HH
 #define AOSD_SIM_JSON_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 namespace aosd
@@ -37,29 +43,25 @@ class Json
 
     Json() = default;
     Json(std::nullptr_t) {}
-    Json(bool b) : kind_(Kind::Bool), boolValue(b) {}
-    Json(double d) : kind_(Kind::Number), numValue(d) {}
-    Json(int v) : kind_(Kind::Number), numValue(v) {}
-    Json(std::int64_t v)
-        : kind_(Kind::Number), numValue(static_cast<double>(v))
-    {}
-    Json(std::uint64_t v)
-        : kind_(Kind::Number), numValue(static_cast<double>(v))
-    {}
-    Json(const char *s) : kind_(Kind::String), strValue(s) {}
-    Json(std::string s) : kind_(Kind::String), strValue(std::move(s)) {}
+    Json(bool b) : node(b) {}
+    Json(double d) : node(d) {}
+    Json(int v) : node(static_cast<double>(v)) {}
+    Json(std::int64_t v) : node(static_cast<double>(v)) {}
+    Json(std::uint64_t v) : node(static_cast<double>(v)) {}
+    Json(const char *s) : node(std::string(s)) {}
+    Json(std::string s) : node(std::move(s)) {}
 
     /** Make an empty array / object (distinct from null). */
     static Json array();
     static Json object();
 
-    Kind kind() const { return kind_; }
-    bool isNull() const { return kind_ == Kind::Null; }
-    bool isBool() const { return kind_ == Kind::Bool; }
-    bool isNumber() const { return kind_ == Kind::Number; }
-    bool isString() const { return kind_ == Kind::String; }
-    bool isArray() const { return kind_ == Kind::Array; }
-    bool isObject() const { return kind_ == Kind::Object; }
+    Kind kind() const { return static_cast<Kind>(node.index()); }
+    bool isNull() const { return kind() == Kind::Null; }
+    bool isBool() const { return kind() == Kind::Bool; }
+    bool isNumber() const { return kind() == Kind::Number; }
+    bool isString() const { return kind() == Kind::String; }
+    bool isArray() const { return kind() == Kind::Array; }
+    bool isObject() const { return kind() == Kind::Object; }
 
     /** Typed accessors; fatal on kind mismatch. */
     bool asBool() const;
@@ -94,17 +96,17 @@ class Json
     static Json parse(const std::string &text,
                       std::string *error = nullptr);
 
-    bool operator==(const Json &o) const;
+    bool operator==(const Json &o) const { return node == o.node; }
 
   private:
+    using Array = std::vector<Json>;
+    using Object = std::vector<std::pair<std::string, Json>>;
+
     void dumpTo(std::string &out, int indent, int depth) const;
 
-    Kind kind_ = Kind::Null;
-    bool boolValue = false;
-    double numValue = 0.0;
-    std::string strValue;
-    std::vector<Json> arr;
-    std::vector<std::pair<std::string, Json>> obj;
+    /** Alternatives in Kind order. */
+    std::variant<std::nullptr_t, bool, double, std::string, Array, Object>
+        node;
 };
 
 } // namespace aosd

@@ -7,7 +7,8 @@
  * ablation) cells, (app × OS structure) Table 7 replays. Each cell
  * builds its own models, enables its own instrumentation session, and
  * returns a value — nothing couples two cells except the singletons,
- * and those are now thread-local (one SimSlice per worker). The
+ * and those are thread-local (the tracer, profiler and counter file
+ * each keep one instance per worker thread). The
  * runner fans a vector of such cells across a fixed-size ThreadPool
  * and hands back the results **in task-index order**: workers decide
  * when a task runs, never where its result goes, so the output is
@@ -37,7 +38,6 @@
 #include <memory>
 #include <vector>
 
-#include "sim/parallel/sim_slice.hh"
 #include "sim/parallel/thread_pool.hh"
 
 namespace aosd

@@ -223,6 +223,44 @@ TEST(MultiLevelPageTable, SuperpageCoversWholeRegion)
     EXPECT_FALSE(t->walk(PageTable::superpagePages).pte.has_value());
 }
 
+TEST(MultiLevelPageTable, ProtectUnderSuperpageChangesTheTerminal)
+{
+    auto t = makeMultiLevelPageTable();
+    ASSERT_TRUE(t->mapSuperpage(64, Pte{0x500, {}, true, false, false}));
+    PageProt rw;
+    rw.writable = true;
+    ASSERT_TRUE(t->protect(70, rw));
+    // The region has one PTE: every page in it reads the new
+    // protection, and no level-3 PTE appears beneath the terminal.
+    for (Vpn v = 64; v < 64 + PageTable::superpagePages; ++v) {
+        WalkResult r = t->walk(v);
+        ASSERT_TRUE(r.pte.has_value()) << v;
+        EXPECT_EQ(r.pte->prot, rw) << v;
+        EXPECT_EQ(r.pte->pfn, 0x500u + (v - 64)) << v;
+        EXPECT_TRUE(r.pte->referenced) << v;
+        EXPECT_EQ(r.levels, 2u) << v;
+    }
+    EXPECT_EQ(t->mappedPages(), 0u);
+}
+
+TEST(MultiLevelPageTable, UpdateUnderSuperpageIsRefused)
+{
+    auto t = makeMultiLevelPageTable();
+    ASSERT_TRUE(t->mapSuperpage(64, Pte{0x500, {}, false, false, false}));
+    EXPECT_FALSE(t->update(70, Pte{0x999, {}, true, true, false}));
+    WalkResult r = t->walk(70);
+    ASSERT_TRUE(r.pte.has_value());
+    EXPECT_EQ(r.pte->pfn, 0x506u);
+    EXPECT_FALSE(r.pte->dirty);
+    EXPECT_EQ(t->mappedPages(), 0u);
+    // Outside a superpage, update still edits the PTE.
+    t->map(200, Pte{1, {}, false, false, false});
+    EXPECT_TRUE(t->update(200, Pte{2, {}, false, true, false}));
+    EXPECT_EQ(t->walk(200).pte->pfn, 2u);
+    EXPECT_TRUE(t->walk(200).pte->dirty);
+    EXPECT_EQ(t->mappedPages(), 1u);
+}
+
 TEST(MultiLevelPageTable, UnalignedSuperpageIsFatal)
 {
     auto t = makeMultiLevelPageTable();

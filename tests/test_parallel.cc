@@ -21,7 +21,6 @@
 #include "arch/machines.hh"
 #include "sim/counters/counters.hh"
 #include "sim/parallel/parallel_runner.hh"
-#include "sim/parallel/sim_slice.hh"
 #include "sim/parallel/thread_pool.hh"
 #include "sim/profile/histogram.hh"
 #include "sim/profile/profile.hh"

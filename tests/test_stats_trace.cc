@@ -179,6 +179,23 @@ TEST(JsonTest, ParseRejectsMalformedInput)
         EXPECT_TRUE(v.isNull()) << bad;
         EXPECT_FALSE(err.empty()) << bad;
     }
+    for (const char *bad :
+         {"[1e]", "[1e+]", "[-]", "[--1]", "[1.5.5]"}) {
+        std::string err;
+        Json v = Json::parse(bad, &err);
+        EXPECT_TRUE(v.isNull()) << bad;
+        EXPECT_NE(err.find("malformed number"), std::string::npos)
+            << bad << ": " << err;
+    }
+    // Laxer than JSON, as strtod is: a bare trailing point, a leading
+    // zero and a missing integer part all read.
+    for (auto [text, want] :
+         {std::pair{"[1.]", 1.0}, {"[01]", 1.0}, {"[-.5]", -0.5}}) {
+        std::string err;
+        Json v = Json::parse(text, &err);
+        ASSERT_TRUE(v.isArray()) << text << ": " << err;
+        EXPECT_EQ(v.at(0).asNumber(), want) << text;
+    }
 }
 
 TEST(JsonTest, ParseBoundsNestingDepth)
@@ -216,6 +233,26 @@ TEST(JsonTest, ParseRejectsOutOfRangeNumbers)
                   .asNumber(),
               1.7976931348623157e308);
     EXPECT_TRUE(err.empty()) << err;
+    // Underflow is not out of range: it reads as zero, keeping the sign.
+    for (auto [text, negative] : {std::pair{"[1e-400]", false},
+                                  {"[2e-324]", false},
+                                  {"[-1e-400]", true}}) {
+        Json v = Json::parse(text, &err);
+        EXPECT_TRUE(err.empty()) << text << ": " << err;
+        ASSERT_TRUE(v.isArray()) << text;
+        EXPECT_EQ(v.at(0).asNumber(), 0.0) << text;
+        EXPECT_EQ(std::signbit(v.at(0).asNumber()), negative) << text;
+    }
+    // The smallest denormal is in range.
+    Json tiny = Json::parse("[5e-324]", &err);
+    ASSERT_TRUE(tiny.isArray()) << err;
+    EXPECT_EQ(tiny.at(0).asNumber(),
+              std::numeric_limits<double>::denorm_min());
+}
+
+TEST(JsonTest, NodeIsCompact)
+{
+    EXPECT_LE(sizeof(Json), 40u);
 }
 
 TEST(JsonTest, ObjectPreservesInsertionOrder)
