@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <set>
 #include <string_view>
 
 #include "sim/logging.hh"
@@ -16,7 +17,7 @@ Json
 Json::array()
 {
     Json j;
-    j.node.emplace<Array>();
+    j.node.emplace<Box<Array>>();
     return j;
 }
 
@@ -24,7 +25,7 @@ Json
 Json::object()
 {
     Json j;
-    j.node.emplace<Object>();
+    j.node.emplace<Box<Object>>();
     return j;
 }
 
@@ -56,7 +57,7 @@ Json::asUint() const
 const std::string &
 Json::asString() const
 {
-    if (const std::string *s = std::get_if<std::string>(&node))
+    if (const std::string *s = get<std::string>())
         return *s;
     fatal("JSON value is not a string");
 }
@@ -65,8 +66,8 @@ void
 Json::push(Json v)
 {
     if (isNull())
-        node.emplace<Array>();
-    Array *arr = std::get_if<Array>(&node);
+        node.emplace<Box<Array>>();
+    Array *arr = get<Array>();
     if (!arr)
         fatal("push on a non-array JSON value");
     arr->push_back(std::move(v));
@@ -75,9 +76,9 @@ Json::push(Json v)
 std::size_t
 Json::size() const
 {
-    if (const Array *arr = std::get_if<Array>(&node))
+    if (const Array *arr = get<Array>())
         return arr->size();
-    if (const Object *obj = std::get_if<Object>(&node))
+    if (const Object *obj = get<Object>())
         return obj->size();
     return 0;
 }
@@ -85,7 +86,7 @@ Json::size() const
 const Json &
 Json::at(std::size_t i) const
 {
-    const Array *arr = std::get_if<Array>(&node);
+    const Array *arr = get<Array>();
     if (!arr || i >= arr->size())
         fatal("JSON array index out of range");
     return (*arr)[i];
@@ -95,8 +96,8 @@ void
 Json::set(const std::string &key, Json v)
 {
     if (isNull())
-        node.emplace<Object>();
-    Object *obj = std::get_if<Object>(&node);
+        node.emplace<Box<Object>>();
+    Object *obj = get<Object>();
     if (!obj)
         fatal("set on a non-object JSON value");
     for (auto &kv : *obj) {
@@ -125,7 +126,7 @@ Json::at(const std::string &key) const
 const Json *
 Json::find(const std::string &key) const
 {
-    if (const Object *obj = std::get_if<Object>(&node))
+    if (const Object *obj = get<Object>())
         for (const auto &kv : *obj)
             if (kv.first == key)
                 return &kv.second;
@@ -135,7 +136,7 @@ Json::find(const std::string &key) const
 const std::vector<std::pair<std::string, Json>> &
 Json::items() const
 {
-    if (const Object *obj = std::get_if<Object>(&node))
+    if (const Object *obj = get<Object>())
         return *obj;
     fatal("items() on a non-object JSON value");
 }
@@ -238,10 +239,10 @@ Json::dumpTo(std::string &out, int indent, int depth) const
         appendNumber(out, std::get<double>(node));
         break;
       case Kind::String:
-        appendQuoted(out, std::get<std::string>(node));
+        appendQuoted(out, *get<std::string>());
         break;
       case Kind::Array: {
-        const Array &arr = std::get<Array>(node);
+        const Array &arr = *get<Array>();
         if (arr.empty()) {
             out += "[]";
             break;
@@ -258,7 +259,7 @@ Json::dumpTo(std::string &out, int indent, int depth) const
         break;
       }
       case Kind::Object: {
-        const Object &obj = std::get<Object>(node);
+        const Object &obj = *get<Object>();
         if (obj.empty()) {
             out += "{}";
             break;
@@ -289,11 +290,8 @@ Json::dump(int indent) const
     return out;
 }
 
-namespace
-{
-
 /** Recursive-descent parser over a string view + cursor. */
-class Parser
+class Json::Parser
 {
   public:
     Parser(const std::string &text, std::string *error)
@@ -392,6 +390,12 @@ class Parser
     object()
     {
         Json out = Json::object();
+        Object &members = *out.get<Object>();
+        // Indices by key: a repeated key updates its first slot in O(log n).
+        auto byKey = [&](std::size_t a, std::size_t b) {
+            return members[a].first < members[b].first;
+        };
+        std::set<std::size_t, decltype(byKey)> seen(byKey);
         consume('{');
         skipWs();
         if (consume('}'))
@@ -408,7 +412,11 @@ class Parser
                 fail("expected ':' after key");
                 break;
             }
-            out.set(key, value());
+            members.emplace_back(std::move(key), value());
+            if (auto [at, fresh] = seen.insert(members.size() - 1); !fresh) {
+                members[*at].second = std::move(members.back().second);
+                members.pop_back();
+            }
             skipWs();
             if (consume(','))
                 continue;
@@ -560,8 +568,6 @@ class Parser
     static constexpr unsigned maxDepth = 512;
     bool failed = false;
 };
-
-} // namespace
 
 Json
 Json::parse(const std::string &text, std::string *error)

@@ -8,7 +8,10 @@
  * deliberately small, dependency-free implementation: objects
  * preserve insertion order so emitted reports diff cleanly.
  *
- * A node is one 40-byte std::variant whose index is its Kind. Numbers
+ * A node is one 16-byte std::variant whose index is its Kind. Null,
+ * bool and number sit inline; a string, array or object sits in a heap
+ * box the node owns by value, so the numbers that make up most of a
+ * large document pay 16 bytes each. A moved-from node is null. Numbers
  * are written as integers when whole and below 1e15, otherwise as the
  * shortest "%.{p}g" (std::to_chars general) that std::from_chars reads
  * back exactly; the parser reads them with std::from_chars in place.
@@ -19,6 +22,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <variant>
@@ -48,8 +52,18 @@ class Json
     Json(int v) : node(static_cast<double>(v)) {}
     Json(std::int64_t v) : node(static_cast<double>(v)) {}
     Json(std::uint64_t v) : node(static_cast<double>(v)) {}
-    Json(const char *s) : node(std::string(s)) {}
-    Json(std::string s) : node(std::move(s)) {}
+    Json(const char *s) : node(Box<std::string>(s)) {}
+    Json(std::string s) : node(Box<std::string>(std::move(s))) {}
+
+    Json(const Json &) = default;
+    /** A move leaves the source null. */
+    Json(Json &&o) noexcept : node(std::exchange(o.node, nullptr)) {}
+    Json &
+    operator=(Json o) noexcept
+    {
+        node.swap(o.node);
+        return *this;
+    }
 
     /** Make an empty array / object (distinct from null). */
     static Json array();
@@ -99,13 +113,41 @@ class Json
     bool operator==(const Json &o) const { return node == o.node; }
 
   private:
+    /** Owns a heap T with value semantics (a copy deep-copies, ==
+     *  compares contents). Never null: a node's moves reset the source. */
+    template <class T>
+    class Box
+    {
+      public:
+        explicit Box(T v = T()) : p(std::make_unique<T>(std::move(v))) {}
+        Box(const Box &o) : Box(*o.p) {}
+        Box(Box &&) noexcept = default;
+        Box &operator=(Box &&) noexcept = default;
+
+        T &operator*() const { return *p; }
+        bool operator==(const Box &o) const { return *p == *o.p; }
+
+      private:
+        std::unique_ptr<T> p;
+    };
     using Array = std::vector<Json>;
     using Object = std::vector<std::pair<std::string, Json>>;
+    class Parser;
+
+    /** The boxed T if this node holds one, else null (shallow-const). */
+    template <class T>
+    T *
+    get() const
+    {
+        const Box<T> *b = std::get_if<Box<T>>(&node);
+        return b ? &**b : nullptr;
+    }
 
     void dumpTo(std::string &out, int indent, int depth) const;
 
     /** Alternatives in Kind order. */
-    std::variant<std::nullptr_t, bool, double, std::string, Array, Object>
+    std::variant<std::nullptr_t, bool, double, Box<std::string>,
+                 Box<Array>, Box<Object>>
         node;
 };
 

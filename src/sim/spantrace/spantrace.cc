@@ -17,8 +17,8 @@ SpanNode::toJson() const
     Json ctrs = Json::object();
     for (std::size_t i = 0; i < numHwCounters; ++i) {
         HwCounter c = static_cast<HwCounter>(i);
-        if (counters.get(c))
-            ctrs.set(counterName(c), Json(counters.get(c)));
+        if (counter(c))
+            ctrs.set(counterName(c), Json(counter(c)));
     }
     if (!ctrs.items().empty())
         out.set("counters", ctrs);
@@ -148,8 +148,10 @@ SpanTracer::closeTop(Cycles now)
     } else {
         open.node->cycles = now >= open.start ? now - open.start : 0;
     }
-    open.node->counters =
+    CounterSet delta =
         HwCounters::instance().snapshot().delta(open.counters);
+    if (delta != CounterSet{})
+        open.node->counters = std::make_shared<const CounterSet>(delta);
     stack_.pop_back();
 }
 

@@ -30,6 +30,7 @@
 #define AOSD_SIM_SPANTRACE_SPANTRACE_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -62,16 +63,24 @@ spantraceEnabled()
 
 /** One span of a request's tree. Unlike ProfNode, children are not
  *  merged by name: every push appends a new node, so the tree is the
- *  literal invocation sequence of one request. */
+ *  literal invocation sequence of one request. A node is 80 bytes; a
+ *  408-byte counter block exists only for a span that counted. */
 struct SpanNode
 {
     std::string name;
     /** Inclusive simulated-cycle duration of the span. */
     Cycles cycles = 0;
-    /** Counter events observed during the span (zero for leaves,
-     *  which carry a duration only). */
-    CounterSet counters;
+    /** Counter events observed during the span; null when none was
+     *  (always, for leaves). Shared by copies; read via counter(). */
+    std::shared_ptr<const CounterSet> counters;
     std::vector<SpanNode> children;
+
+    /** One counter's delta across the span (0 without a block). */
+    std::uint64_t
+    counter(HwCounter c) const
+    {
+        return counters ? counters->get(c) : 0;
+    }
 
     /** {"name":..,"cycles":..[,"counters":{only-nonzero}]
      *   [,"spans":[children]]} — counters and children omitted when

@@ -1,6 +1,8 @@
 #include "study/perfdiff.hh"
 
+#include <algorithm>
 #include <cmath>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -62,6 +64,32 @@ kindName(Json::Kind kind)
     return "?";
 }
 
+/** An object's members sorted by key, so each lookup is O(log n) and
+ *  comparing two n-key objects is not O(n^2). */
+using KeyIndex = std::vector<std::pair<std::string_view, const Json *>>;
+
+KeyIndex
+indexByKey(const Json &obj)
+{
+    KeyIndex index;
+    index.reserve(obj.size());
+    for (const auto &[key, value] : obj.items())
+        index.emplace_back(key, &value);
+    std::ranges::sort(index, {}, &KeyIndex::value_type::first);
+    return index;
+}
+
+const Json *
+lookup(const KeyIndex &index, std::string_view key)
+{
+    auto it = std::lower_bound(
+        index.begin(), index.end(), key,
+        [](const auto &member, std::string_view k) {
+            return member.first < k;
+        });
+    return it != index.end() && it->first == key ? it->second : nullptr;
+}
+
 bool
 findMismatch(const Json &oldNode, const Json &newNode,
              const std::string &path, StructuralMismatch &out)
@@ -78,20 +106,22 @@ findMismatch(const Json &oldNode, const Json &newNode,
                       kindName(newNode.kind()));
 
     if (oldNode.isObject()) {
+        KeyIndex oldKeys = indexByKey(oldNode);
+        KeyIndex newKeys = indexByKey(newNode);
         for (const auto &[key, value] : oldNode.items()) {
             (void)value;
-            if (!newNode.has(key))
+            if (!lookup(newKeys, key))
                 return report("key '" + key +
                               "' missing from the new document");
         }
         for (const auto &[key, value] : newNode.items()) {
             (void)value;
-            if (!oldNode.has(key))
+            if (!lookup(oldKeys, key))
                 return report("key '" + key +
                               "' only in the new document");
         }
         for (const auto &[key, value] : oldNode.items())
-            if (findMismatch(value, newNode.at(key),
+            if (findMismatch(value, *lookup(newKeys, key),
                              path.empty() ? key : path + "." + key,
                              out))
                 return true;

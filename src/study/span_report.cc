@@ -84,7 +84,7 @@ tailAttribution(const KernelWindowCosts &costs,
                 const SpanRequest &median, const SpanRequest &p99)
 {
     auto cnt = [](const SpanRequest &r, HwCounter c) {
-        return static_cast<std::int64_t>(r.root.counters.get(c));
+        return static_cast<std::int64_t>(r.root.counter(c));
     };
 
     double explained = 0.0;

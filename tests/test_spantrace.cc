@@ -156,9 +156,50 @@ TEST_F(SpantraceTest, CounterDeltaLandsOnTheRootSpan)
 
     SpanSession session = t.take();
     ASSERT_EQ(session.requests.size(), 1u);
-    EXPECT_EQ(session.requests[0].root.counters.get(
-                  HwCounter::TlbMisses),
+    EXPECT_EQ(session.requests[0].root.counter(HwCounter::TlbMisses),
               3u);
+}
+
+TEST_F(SpantraceTest, NodeIsCompact)
+{
+    EXPECT_LE(sizeof(SpanNode), 80u);
+}
+
+TEST_F(SpantraceTest, OnlyASpanThatCountedHoldsACounterBlock)
+{
+    HwCounters::instance().enable();
+    SpanTracer &t = SpanTracer::instance();
+    t.enable(1);
+    t.beginRequest("req", 0, 0);
+    Cycles clock = 0;
+    {
+        SpanScope counted("counted", clock);
+        countEvent(HwCounter::TlbMisses, 3);
+        spanLeaf("leaf", 10);
+        clock = 20;
+    }
+    {
+        SpanScope quiet("quiet", clock);
+        clock = 30;
+    }
+    t.endRequest(40);
+
+    SpanSession session = t.take();
+    ASSERT_EQ(session.requests.size(), 1u);
+    const SpanNode &root = session.requests[0].root;
+    ASSERT_EQ(root.children.size(), 2u);
+    const SpanNode &counted = root.children[0];
+    ASSERT_NE(counted.counters, nullptr);
+    EXPECT_EQ(counted.counter(HwCounter::TlbMisses), 3u);
+    EXPECT_EQ(counted.counter(HwCounter::TlbHits), 0u);
+    // Leaves never count; a scope with no event needs no block either.
+    ASSERT_EQ(counted.children.size(), 1u);
+    EXPECT_EQ(counted.children[0].counters, nullptr);
+    EXPECT_EQ(counted.children[0].counter(HwCounter::TlbMisses), 0u);
+    EXPECT_EQ(root.children[1].counters, nullptr);
+    EXPECT_EQ(root.children[1].toJson().find("counters"), nullptr);
+    EXPECT_EQ(counted.toJson().at("counters").dump(),
+              "{\"tlb_misses\":3}");
 }
 
 TEST_F(SpantraceTest, SessionMergeIsAssociativeWithIdentity)

@@ -252,7 +252,84 @@ TEST(JsonTest, ParseRejectsOutOfRangeNumbers)
 
 TEST(JsonTest, NodeIsCompact)
 {
-    EXPECT_LE(sizeof(Json), 40u);
+    EXPECT_LE(sizeof(Json), 16u);
+}
+
+TEST(JsonTest, CopiesAreDeepAndEqualUntilMutated)
+{
+    Json obj = Json::object();
+    obj.set("k", Json("v"));
+    Json arr = Json::array();
+    arr.push(obj);
+    for (const Json &source : {Json("text"), arr, obj}) {
+        Json copy = source;
+        EXPECT_TRUE(copy == source) << source.dump();
+        std::string before = source.dump();
+        if (copy.isString())
+            copy = Json("other");
+        else if (copy.isArray())
+            copy.push(Json(1));
+        else
+            copy.set("k", Json(2));
+        EXPECT_FALSE(copy == source) << before;
+        EXPECT_EQ(source.dump(), before);
+    }
+    // A nested copy is deep too: the array's element is its own.
+    obj.set("k", Json("changed"));
+    EXPECT_EQ(arr.dump(), "[{\"k\":\"v\"}]");
+}
+
+TEST(JsonTest, MovedFromNodeIsNullAndReusable)
+{
+    Json obj = Json::object();
+    obj.set("k", Json(1));
+    Json arr = Json::array();
+    arr.push(Json(1));
+    for (Json source : {Json("text"), arr, obj, Json(2.5), Json(true)}) {
+        std::string dumped = source.dump();
+        Json taken = std::move(source);
+        EXPECT_TRUE(source.isNull()) << dumped;
+        EXPECT_EQ(source.dump(), "null");
+        EXPECT_EQ(taken.dump(), dumped);
+        Json assigned;
+        assigned = std::move(taken);
+        EXPECT_TRUE(taken.isNull()) << dumped;
+        EXPECT_EQ(assigned.dump(), dumped);
+        source = Json("again");
+        EXPECT_EQ(source.dump(), "\"again\"");
+    }
+}
+
+TEST(JsonTest, RepeatedKeyKeepsFirstPositionAndLastValue)
+{
+    std::string err;
+    Json doc = Json::parse("{\"a\":1,\"b\":2,\"a\":3}", &err);
+    EXPECT_TRUE(err.empty()) << err;
+    EXPECT_EQ(doc.dump(), "{\"a\":3,\"b\":2}");
+    doc = Json::parse("{\"b\":[],\"a\":1,\"b\":2,\"c\":0,\"b\":{}}",
+                      &err);
+    EXPECT_EQ(doc.dump(), "{\"b\":{},\"a\":1,\"c\":0}");
+}
+
+// Registered with a ctest TIMEOUT (tests/CMakeLists.txt): parsing must
+// stay O(n log n) in an object's member count, so a hostile file of
+// many keys cannot stall a tool.
+TEST(JsonScale, HundredThousandKeyObjectParses)
+{
+    constexpr int keys = 100'000;
+    std::string text = "{";
+    for (int i = 0; i < keys; ++i)
+        text += (i ? ",\"k" : "\"k") + std::to_string(i) +
+                "\":" + std::to_string(i);
+    text += ",\"k0\":-1}";
+    std::string err;
+    Json doc = Json::parse(text, &err);
+    EXPECT_TRUE(err.empty()) << err;
+    ASSERT_EQ(doc.size(), std::size_t{keys});
+    EXPECT_EQ(doc.items().front().first, "k0");
+    EXPECT_EQ(doc.items().front().second.asNumber(), -1);
+    EXPECT_EQ(doc.items().back().first, "k99999");
+    EXPECT_EQ(doc.items().back().second.asNumber(), 99'999);
 }
 
 TEST(JsonTest, ObjectPreservesInsertionOrder)
