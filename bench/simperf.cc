@@ -85,7 +85,7 @@ BM_HandlerExecutionTraced(benchmark::State &state)
     // Same work again with the tracer on: the delta from
     // BM_HandlerExecution is the tracer's enabled cost. With it off,
     // every trace site in the exec/mem hot paths is a single
-    // thread-local flag test (trcdetail::on), so BM_HandlerExecution
+    // observer-mask test (sim/observers.hh), so BM_HandlerExecution
     // itself is the disabled cost.
     MachineDesc m = makeMachine(MachineId::R3000);
     HandlerProgram prog = buildHandler(m, Primitive::Trap);
@@ -107,7 +107,7 @@ BM_PrimitiveSpanTraced(benchmark::State &state)
     // A full span-traced request around one kernel primitive: the
     // begin/end bookkeeping, the RAII scope inside syscall() and the
     // per-phase leaves. With spantrace off, every hook is a single
-    // thread-local flag test (spdetail::on), and that disabled cost is
+    // observer-mask test (sim/observers.hh), and that disabled cost is
     // inside the plain kernel benchmarks.
     MachineDesc m = makeMachine(MachineId::R3000);
     SimKernel kernel(m);
@@ -224,8 +224,8 @@ BM_WorkloadRunSampled(benchmark::State &state)
 }
 BENCHMARK(BM_WorkloadRunSampled);
 
-/** replayEventMix through the per-event entry points: the same
- *  seeded runs (length, then kind), one kernel call per event. */
+/** replayEventMix one event at a time: the same seeded runs
+ *  (length, then kind), one kernel entry point call per event. */
 std::uint64_t
 replayEventMixPerEvent(SimKernel &kernel, AddressSpace &space,
                        std::uint64_t total_events, std::uint64_t seed)
@@ -258,10 +258,10 @@ replayEventMixPerEvent(SimKernel &kernel, AddressSpace &space,
 /** Shared body of the kernel-window charging benchmarks: a seeded
  *  randomized stream of homogeneous event runs against one R3000
  *  kernel with counters and the profiler on — the instrumentation
- *  state a report run charges under. `batched` replays it through the
- *  batched entry points (replayEventMix), otherwise through the
- *  per-event ones; the two produce byte-identical state, so the
- *  events/sec ratio is the batch win (CI gates it >= 5x). */
+ *  state a report run charges under. `batched` replays it one entry
+ *  point call per run (replayEventMix), otherwise one call per event;
+ *  the two produce byte-identical state, so the events/sec ratio is
+ *  what charging a run in one call wins (CI gates it >= 5x). */
 void
 kernelWindowChargingBody(benchmark::State &state, bool batched)
 {

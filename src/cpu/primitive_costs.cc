@@ -2,17 +2,18 @@
 
 #include "arch/machines.hh"
 #include "sim/logging.hh"
-#include "sim/profile/profile.hh"
+#include "sim/observers.hh"
 
 namespace aosd
 {
 
 PrimitiveCostDb::PrimitiveCostDb()
 {
-    // The cache may be built lazily while a profile is being taken;
-    // these warm-up simulations are not the profiled workload's
-    // cycles, so keep them out of the attribution tree.
-    ProfPause pause;
+    // The cache may be built lazily while a profile or a span-traced
+    // request is open; these warm-up simulations are not the observed
+    // workload's cycles, so keep them out of the attribution tree and
+    // the request's span tree.
+    ObserverPause pause;
     for (const MachineDesc &m : allMachines()) {
         machines.emplace(m.id, m);
         ExecModel exec(m);

@@ -3,6 +3,7 @@
 #include "cpu/primitive_costs.hh"
 #include "mem/cache.hh"
 #include "sim/counters/counters.hh"
+#include "sim/observers.hh"
 #include "sim/profile/profile.hh"
 #include "sim/spantrace/spantrace.hh"
 #include "sim/trace.hh"
@@ -24,8 +25,7 @@ simulateTlbMisses(const MachineDesc &desc, const LrpcConfig &cfg,
     // A helper simulation inside an analytic model: its charges must
     // not leak into the caller's attribution tree or nest phantom
     // spans into an open request.
-    ProfPause pause;
-    SpanPause spause;
+    ObserverPause pause;
     SimKernel kernel(desc);
     AddressSpace &client = kernel.createSpace("client");
     AddressSpace &server = kernel.createSpace("server");

@@ -1,5 +1,7 @@
 #include "os/kernel/kernel.hh"
 
+#include <optional>
+
 #include "cpu/exec_model.hh"
 #include "sim/counters/counters.hh"
 #include "sim/logging.hh"
@@ -24,9 +26,79 @@ kernelWindowCosts(const MachineDesc &machine)
     return c;
 }
 
+namespace
+{
+
+/**
+ * What one event of a kind charges, counts and records. A priced event
+ * (no `fixed`) opens a profiler scope and span `name` and charges
+ * `prim`'s cached handler; a fixed-cost event is one leaf `name` of
+ * fixed(machine) cycles. Its trace records: one Complete, a Begin and
+ * an End (`endEvent`), one Instant (arg: instructions), or none (Mark).
+ */
+struct EventRow
+{
+    const char *name;
+    Primitive prim = Primitive::NullSyscall;
+    Cycles (*fixed)(const MachineDesc &) = nullptr;
+    std::uint64_t SimKernel::Counts::*count;
+    HwCounter counter;
+    /** A second counter each event bumps, or NumCounters. */
+    HwCounter alsoCounter = HwCounter::NumCounters;
+    TracePhase tracePhase = TracePhase::Complete;
+    TraceEvent traceEvent = TraceEvent::Mark;
+    TraceEvent endEvent = TraceEvent::Mark;
+    /** The records' name, where it is not `name`. */
+    const char *traceName = nullptr;
+};
+
+using Counts = SimKernel::Counts;
+
+/** Indexed by KernelEvent. */
+constexpr EventRow eventRows[] = {
+    {.name = "syscall", .prim = Primitive::NullSyscall,
+     .count = &Counts::syscalls, .counter = HwCounter::KernelSyscalls,
+     .traceEvent = TraceEvent::Syscall},
+    {.name = "trap", .prim = Primitive::Trap, .count = &Counts::traps,
+     .counter = HwCounter::KernelTraps, .tracePhase = TracePhase::Begin,
+     .traceEvent = TraceEvent::TrapEnter, .endEvent = TraceEvent::TrapExit},
+    {.name = "exception", .prim = Primitive::Trap,
+     .count = &Counts::otherExceptions, .counter = HwCounter::KernelTraps,
+     .traceEvent = TraceEvent::TrapEnter},
+    {.name = "thread_switch", .prim = Primitive::ContextSwitch,
+     .count = &Counts::threadSwitches, .counter = HwCounter::ThreadSwitches,
+     .traceEvent = TraceEvent::ThreadSwitch},
+    // A fast trap vector plus a short interrupts-disabled sequence:
+    // cheaper than a trap, far dearer than an atomic instruction.
+    {.name = "emulated_test_and_set", .fixed = emulatedTasCycles,
+     .count = &Counts::emulatedInstrs, .counter = HwCounter::EmulatedInstrs,
+     .alsoCounter = HwCounter::EmulatedTasOps},
+    // Each emulated instruction decodes and interprets in the kernel:
+    // a handful of cycles beyond the trap that delivered it.
+    {.name = "emulate_instr",
+     .fixed = [](const MachineDesc &) { return emulatedInstrCycles; },
+     .count = &Counts::emulatedInstrs, .counter = HwCounter::EmulatedInstrs,
+     .tracePhase = TracePhase::Instant,
+     .traceEvent = TraceEvent::EmulatedInstr, .traceName = "emulate"},
+    {.name = "pte_change", .prim = Primitive::PteChange,
+     .count = &Counts::pteChanges, .counter = HwCounter::PteChanges},
+    {.name = "context_switch", .prim = Primitive::ContextSwitch,
+     .count = &Counts::addrSpaceSwitches,
+     .counter = HwCounter::ContextSwitches,
+     .alsoCounter = HwCounter::ThreadSwitches,
+     .tracePhase = TracePhase::Begin, .traceEvent = TraceEvent::ContextSwitch,
+     .endEvent = TraceEvent::ContextSwitch},
+};
+static_assert(std::size(eventRows) ==
+              static_cast<std::size_t>(KernelEvent::AddrSpaceSwitch) + 1);
+
+/** The state edit of an event kind that has none. */
+constexpr auto noEdit = [](std::uint64_t) {};
+
+} // namespace
+
 SimKernel::SimKernel(const MachineDesc &machine)
-    : desc(machine), costs(sharedCostDb()),
-      tasCycles(emulatedTasCycles(machine)),
+    : desc(machine),
       pageFlushLines(machine.cache.indexing == CacheIndexing::Virtual
                          ? pageBytes / machine.cache.lineBytes
                          : 0),
@@ -38,7 +110,8 @@ SimKernel::SimKernel(const MachineDesc &machine)
       tlbModel(machine.tlb)
 {
     for (Primitive p : allPrimitives)
-        primCost[static_cast<std::size_t>(p)] = &costs.cost(desc.id, p);
+        primCost[static_cast<std::size_t>(p)] =
+            &sharedCostDb().cost(desc.id, p);
     // Space 0 is the kernel itself; its working set models the mapped
     // kernel data (page tables and the like) that still needs TLB
     // entries even when kernel *code* runs unmapped (s5).
@@ -66,436 +139,224 @@ SimKernel::createSpace(const std::string &name)
     return *spaces.back();
 }
 
-AddressSpace &
-SimKernel::currentSpace()
+void
+SimKernel::chargeLeaf(const char *leaf, Cycles c)
 {
-    return *spaces[currentIdx];
+    cycleCount += c;
+    primCycles += c;
+    if (profilerEnabled())
+        Profiler::instance().addLeafCycles(leaf, c);
+    spanLeaf(leaf, c);
 }
 
+template <typename StateEdit>
 void
-SimKernel::chargePrimitive(Primitive p)
+SimKernel::chargeEvent(KernelEvent kind, std::uint64_t width,
+                       StateEdit edit)
 {
-    const PrimitiveCost &pc = *primCost[static_cast<std::size_t>(p)];
-    // Attribute the cached handler simulation phase by phase, so a
-    // kernel-level profile bottoms out in the same hardware causes
-    // (trap_hardware, write_buffer_stall, ...) the exec model charged.
-    if (profilerEnabled()) {
+    const EventRow &r = eventRows[static_cast<std::size_t>(kind)];
+    // The span opens before the counters move, so its counter delta
+    // holds this event's bumps.
+    std::optional<ProfScope> prof;
+    std::optional<SpanScope> span;
+    if (!r.fixed) {
+        prof.emplace(r.name);
+        span.emplace(r.name, cycleCount);
+    }
+    tally.*r.count += width;
+    countEvent(r.counter, width);
+    if (r.alsoCounter != HwCounter::NumCounters)
+        countEvent(r.alsoCounter, width);
+    const Cycles start = cycleCount;
+    const bool tracing = tracerEnabled() && r.traceEvent != TraceEvent::Mark;
+    const TracePhase phase = r.tracePhase;
+    const char *trace_name = r.traceName ? r.traceName : r.name;
+    if (tracing && phase != TracePhase::Complete)
+        Tracer::instance().recordAt(
+            start, r.traceEvent, phase, trace_name,
+            phase == TracePhase::Instant ? width : 0);
+    if (r.fixed) {
+        chargeLeaf(r.name, width * r.fixed(desc));
+    } else {
+        // Attribute the cached handler phase by phase, so a kernel-level
+        // profile bottoms out in the hardware causes (trap_hardware,
+        // write_buffer_stall, ...) the exec model charged, and an open
+        // request gets the span leaves ExecModel::run would emit.
+        const PrimitiveCost &pc = *primCost[static_cast<std::size_t>(r.prim)];
         for (const PhaseResult &ph : pc.detail.phases) {
             ProfScope scope(phaseSlug(ph.kind));
             profileBreakdown(ph.breakdown);
-        }
-    }
-    // Same per-phase detail for an open request's span tree: the
-    // leaves ExecModel::run would emit for this handler.
-    if (spantraceEnabled()) {
-        for (const PhaseResult &ph : pc.detail.phases)
             spanLeaf(phaseSlug(ph.kind), ph.cycles);
+        }
+        cycleCount += pc.cycles;
+        primCycles += pc.cycles;
     }
-    cycleCount += pc.cycles;
-    primCycles += pc.cycles;
+    edit();
+    if (tracing && phase == TracePhase::Complete)
+        Tracer::instance().complete(start, cycleCount - start,
+                                    r.traceEvent, trace_name);
+    if (tracing && phase == TracePhase::Begin)
+        Tracer::instance().recordAt(cycleCount, r.endEvent,
+                                    TracePhase::End, trace_name);
 }
 
-bool
-SimKernel::batchActive() const
-{
-    return !tracerEnabled() && !spantraceEnabled();
-}
-
+template <typename StateEdit>
 inline void
-SimKernel::chargePrimitiveBatch(const char *scope, Primitive p,
-                                std::uint64_t n)
+SimKernel::chargeEvents(KernelEvent kind, std::uint64_t n,
+                        bool sample_each, StateEdit edit)
 {
-    const PrimitiveCost &pc = *primCost[static_cast<std::size_t>(p)];
+    if (n == 0)
+        return;
+    if (!batchActive()) {
+        for (std::uint64_t i = 0; i < n; ++i) {
+            chargeEvent(kind, 1, [&] { edit(i); });
+            if (sample_each)
+                CounterSampler::instance().tick(
+                    cycleCount, static_cast<double>(primCycles));
+        }
+        return;
+    }
+    const EventRow &r = eventRows[static_cast<std::size_t>(kind)];
+    const PrimitiveCost &pc = *primCost[static_cast<std::size_t>(r.prim)];
+    const Cycles each = r.fixed ? r.fixed(desc) : pc.cycles;
+    const Cycles start = cycleCount;
+    const Cycles prim_start = primCycles;
+    tally.*r.count += n;
+    countEvent(r.counter, n);
+    if (r.alsoCounter != HwCounter::NumCounters)
+        countEvent(r.alsoCounter, n);
     if (profilerEnabled()) {
-        // Replay the per-event attribution in closed form: the outer
-        // scope and each phase entered n times, every cause leaf
-        // charged its per-event constant × n, and every histogram fed
-        // n copies of the per-event value — the same nodes in the
-        // same creation order as n per-event invocations.
         Profiler &prof = Profiler::instance();
-        ProfNode *outer = prof.pushRepeated(scope, n);
-        Cycles outer_each = 0;
-        for (const PhaseResult &ph : pc.detail.phases) {
-            ProfNode *pn = prof.pushRepeated(phaseSlug(ph.kind), n);
-            profileBreakdownRepeated(ph.breakdown, n);
-            Cycles each = ph.breakdown.total();
-            prof.popRepeated(pn, each, n);
-            outer_each += each;
+        if (r.fixed) {
+            prof.addLeafCyclesRepeated(r.name, each, n);
+        } else {
+            // The scope and each phase entered n times, every cause
+            // leaf charged its per-event constant × n and every
+            // histogram fed n copies: the per-event bodies' nodes, in
+            // their creation order.
+            ProfNode *outer = prof.pushRepeated(r.name, n);
+            Cycles outer_each = 0;
+            for (const PhaseResult &ph : pc.detail.phases) {
+                ProfNode *pn = prof.pushRepeated(phaseSlug(ph.kind), n);
+                profileBreakdownRepeated(ph.breakdown, n);
+                Cycles phase_each = ph.breakdown.total();
+                prof.popRepeated(pn, phase_each, n);
+                outer_each += phase_each;
+            }
+            prof.popRepeated(outer, outer_each, n);
         }
-        prof.popRepeated(outer, outer_each, n);
     }
-    cycleCount += pc.cycles * n;
-    primCycles += pc.cycles * n;
-}
-
-inline void
-SimKernel::batchScopedPrimitive(const char *scope, Primitive p,
-                                std::uint64_t &count, HwCounter event,
-                                std::uint64_t n, bool sample_each)
-{
-    const PrimitiveCost &pc = *primCost[static_cast<std::size_t>(p)];
-    const Cycles start = cycleCount;
-    const Cycles prim_start = primCycles;
-    count += n;
-    countEvent(event, n);
-    chargePrimitiveBatch(scope, p, n);
+    cycleCount += each * n;
+    primCycles += each * n;
+    // The edits charge no cycles and attribute nothing, so running
+    // them after the aggregate charge leaves every total as the
+    // per-event bodies leave it.
+    for (std::uint64_t i = 0; i < n; ++i)
+        edit(i);
     if (sample_each) {
         CounterSet per;
-        per.set(event, 1);
-        CounterSampler::instance().tickRun(start, pc.cycles, n, per,
-                                           prim_start, pc.cycles);
+        per.set(r.counter, 1);
+        if (r.alsoCounter != HwCounter::NumCounters)
+            per.set(r.alsoCounter, 1);
+        CounterSampler::instance().tickRun(start, each, n, per,
+                                           prim_start, each);
     }
 }
 
 void
-SimKernel::syscallBatch(std::uint64_t n, bool sample_each)
+SimKernel::syscall(std::uint64_t n, bool sample_each)
 {
-    if (n == 0)
-        return;
-    if (!batchActive()) {
-        for (std::uint64_t i = 0; i < n; ++i) {
-            syscall();
-            if (sample_each)
-                CounterSampler::instance().tick(
-                    cycleCount, static_cast<double>(primCycles));
-        }
-        return;
-    }
-    batchScopedPrimitive("syscall", Primitive::NullSyscall,
-                         tally.syscalls, HwCounter::KernelSyscalls, n,
-                         sample_each);
+    chargeEvents(KernelEvent::Syscall, n, sample_each, noEdit);
 }
 
 void
-SimKernel::trapBatch(std::uint64_t n, bool sample_each)
+SimKernel::trap(std::uint64_t n, bool sample_each)
 {
-    if (n == 0)
-        return;
-    if (!batchActive()) {
-        for (std::uint64_t i = 0; i < n; ++i) {
-            trap();
-            if (sample_each)
-                CounterSampler::instance().tick(
-                    cycleCount, static_cast<double>(primCycles));
-        }
-        return;
-    }
-    batchScopedPrimitive("trap", Primitive::Trap, tally.traps,
-                         HwCounter::KernelTraps, n, sample_each);
+    chargeEvents(KernelEvent::Trap, n, sample_each, noEdit);
 }
 
 void
-SimKernel::otherExceptionBatch(std::uint64_t n, bool sample_each)
+SimKernel::otherException(std::uint64_t n, bool sample_each)
 {
-    if (n == 0)
-        return;
-    if (!batchActive()) {
-        for (std::uint64_t i = 0; i < n; ++i) {
-            otherException();
-            if (sample_each)
-                CounterSampler::instance().tick(
-                    cycleCount, static_cast<double>(primCycles));
-        }
-        return;
-    }
-    batchScopedPrimitive("exception", Primitive::Trap,
-                         tally.otherExceptions, HwCounter::KernelTraps,
-                         n, sample_each);
+    chargeEvents(KernelEvent::Exception, n, sample_each, noEdit);
 }
 
 void
-SimKernel::threadSwitchBatch(std::uint64_t n, bool sample_each)
+SimKernel::threadSwitch(std::uint64_t n, bool sample_each)
 {
-    if (n == 0)
-        return;
-    if (!batchActive()) {
-        for (std::uint64_t i = 0; i < n; ++i) {
-            threadSwitch();
-            if (sample_each)
-                CounterSampler::instance().tick(
-                    cycleCount, static_cast<double>(primCycles));
-        }
-        return;
-    }
-    batchScopedPrimitive("thread_switch", Primitive::ContextSwitch,
-                         tally.threadSwitches,
-                         HwCounter::ThreadSwitches, n, sample_each);
+    chargeEvents(KernelEvent::ThreadSwitch, n, sample_each, noEdit);
 }
 
 void
-SimKernel::emulateTestAndSetBatch(std::uint64_t n, bool sample_each)
+SimKernel::emulateTestAndSet(std::uint64_t n, bool sample_each)
 {
-    if (n == 0)
-        return;
-    if (!batchActive()) {
-        for (std::uint64_t i = 0; i < n; ++i) {
-            emulateTestAndSet();
-            if (sample_each)
-                CounterSampler::instance().tick(
-                    cycleCount, static_cast<double>(primCycles));
-        }
-        return;
-    }
-    const Cycles start = cycleCount;
-    const Cycles prim_start = primCycles;
-    tally.emulatedInstrs += n;
-    countEvent(HwCounter::EmulatedInstrs, n);
-    countEvent(HwCounter::EmulatedTasOps, n);
-    cycleCount += tasCycles * n;
-    primCycles += tasCycles * n;
-    if (profilerEnabled())
-        Profiler::instance().addLeafCyclesRepeated(
-            "emulated_test_and_set", tasCycles, n);
-    if (sample_each) {
-        CounterSet per;
-        per.set(HwCounter::EmulatedInstrs, 1);
-        per.set(HwCounter::EmulatedTasOps, 1);
-        CounterSampler::instance().tickRun(start, tasCycles, n, per,
-                                           prim_start, tasCycles);
-    }
+    chargeEvents(KernelEvent::EmulatedTas, n, sample_each, noEdit);
 }
 
 void
-SimKernel::emulateSingleInstructionsBatch(std::uint64_t n,
-                                          bool sample_each)
+SimKernel::emulateSingleInstructions(std::uint64_t n, bool sample_each)
 {
-    if (n == 0)
-        return;
-    if (!batchActive()) {
-        for (std::uint64_t i = 0; i < n; ++i) {
-            emulateInstructions(1);
-            if (sample_each)
-                CounterSampler::instance().tick(
-                    cycleCount, static_cast<double>(primCycles));
-        }
-        return;
-    }
-    const Cycles start = cycleCount;
-    const Cycles prim_start = primCycles;
-    tally.emulatedInstrs += n;
-    countEvent(HwCounter::EmulatedInstrs, n);
-    cycleCount += emulatedInstrCycles * n;
-    primCycles += emulatedInstrCycles * n;
-    if (profilerEnabled())
-        Profiler::instance().addLeafCyclesRepeated(
-            "emulate_instr", emulatedInstrCycles, n);
-    if (sample_each) {
-        CounterSet per;
-        per.set(HwCounter::EmulatedInstrs, 1);
-        CounterSampler::instance().tickRun(start, emulatedInstrCycles,
-                                           n, per, prim_start,
-                                           emulatedInstrCycles);
-    }
-}
-
-void
-SimKernel::pteChangeBatch(AddressSpace &space,
-                          const std::vector<Vpn> &vpns, PageProt prot)
-{
-    if (vpns.empty())
-        return;
-    if (!batchActive()) {
-        for (Vpn vpn : vpns)
-            pteChange(space, vpn, prot);
-        return;
-    }
-    const auto n = static_cast<std::uint64_t>(vpns.size());
-    tally.pteChanges += n;
-    countEvent(HwCounter::PteChanges, n);
-    chargePrimitiveBatch("pte_change", Primitive::PteChange, n);
-    countEvent(HwCounter::CacheFlushLines, pageFlushLines * n);
-    // Stepped state edits at the batch boundary: each page's PTE and
-    // TLB shootdown. These only mutate state and bump their own
-    // counters — no cycles, no attribution — so running them after
-    // the aggregate charge leaves every observable total equal to the
-    // interleaved loop's. pageTable() empties the space's walk memo
-    // and nothing in the loop refills it, so one call per batch
-    // leaves the memo as a call per page would.
-    PageTable &table = space.pageTable();
-    const Asid asid = space.asid();
-    for (Vpn vpn : vpns) {
-        table.protect(vpn, prot);
-        tlbModel.invalidate(vpn, asid);
-    }
-}
-
-void
-SimKernel::syscall()
-{
-    ProfScope prof("syscall");
-    SpanScope span("syscall", cycleCount);
-    ++tally.syscalls;
-    countEvent(HwCounter::KernelSyscalls);
-    Cycles start = cycleCount;
-    chargePrimitive(Primitive::NullSyscall);
-    if (tracerEnabled())
-        Tracer::instance().complete(start, cycleCount - start,
-                                    TraceEvent::Syscall, "syscall");
-}
-
-void
-SimKernel::trap()
-{
-    ProfScope prof("trap");
-    SpanScope span("trap", cycleCount);
-    ++tally.traps;
-    countEvent(HwCounter::KernelTraps);
-    Cycles start = cycleCount;
-    if (tracerEnabled())
-        Tracer::instance().recordAt(start, TraceEvent::TrapEnter,
-                                    TracePhase::Begin, "trap");
-    chargePrimitive(Primitive::Trap);
-    if (tracerEnabled())
-        Tracer::instance().recordAt(cycleCount, TraceEvent::TrapExit,
-                                    TracePhase::End, "trap");
-}
-
-void
-SimKernel::pteChange(AddressSpace &space, Vpn vpn, PageProt prot)
-{
-    ProfScope prof("pte_change");
-    SpanScope span("pte_change", cycleCount);
-    ++tally.pteChanges;
-    countEvent(HwCounter::PteChanges);
-    chargePrimitive(Primitive::PteChange);
-    space.pageTable().protect(vpn, prot);
-    tlbModel.invalidate(vpn, space.asid());
-    // Virtually-addressed caches must also drop the page's lines; the
-    // simulated primitive already charges the machine's sweep cost
-    // (i860: 536 of 559 instructions), so only the lines are counted.
-    if (pageFlushLines) {
-        countEvent(HwCounter::CacheFlushLines, pageFlushLines);
-        if (tracerEnabled())
-            Tracer::instance().instant(TraceEvent::CacheFlush,
-                                       "cache_flush_page",
-                                       pageFlushLines);
-    }
-}
-
-void
-SimKernel::contextSwitchTo(AddressSpace &target)
-{
-    AddressSpace &from = currentSpace();
-    if (&target == &from)
-        return;
-    ProfScope prof("context_switch");
-    SpanScope span("context_switch", cycleCount);
-    ++tally.addrSpaceSwitches;
-    countEvent(HwCounter::ContextSwitches);
-    // An address-space switch implies a thread switch (Table 7 note).
-    ++tally.threadSwitches;
-    countEvent(HwCounter::ThreadSwitches);
-    if (tracerEnabled())
-        Tracer::instance().recordAt(cycleCount,
-                                    TraceEvent::ContextSwitch,
-                                    TracePhase::Begin,
-                                    "context_switch");
-    chargePrimitive(Primitive::ContextSwitch);
-
-    Cycles purge = tlbModel.switchContext();
-    cycleCount += purge;
-    primCycles += purge;
-    if (purge) {
-        countEvent(HwCounter::TlbPurgeCycles, purge);
-        if (profilerEnabled())
-            Profiler::instance().addLeafCycles("tlb_purge", purge);
-        spanLeaf("tlb_purge", purge);
-    }
-
-    if (switchFlushLines) {
-        countEvent(HwCounter::CacheFlushLines, switchFlushLines);
-        if (tracerEnabled())
-            Tracer::instance().instant(TraceEvent::CacheFlush,
-                                       "cache_flush_all",
-                                       switchFlushLines);
-        cycleCount += switchFlushCycles;
-        primCycles += switchFlushCycles;
-        countEvent(HwCounter::CacheFlushCycles, switchFlushCycles);
-        if (profilerEnabled())
-            Profiler::instance().addLeafCycles("cache_flush",
-                                               switchFlushCycles);
-        spanLeaf("cache_flush", switchFlushCycles);
-    }
-
-    for (std::size_t i = 0; i < spaces.size(); ++i) {
-        if (spaces[i].get() == &target) {
-            currentIdx = i;
-            touchWorkingSet();
-            if (tracerEnabled())
-                Tracer::instance().recordAt(cycleCount,
-                                            TraceEvent::ContextSwitch,
-                                            TracePhase::End,
-                                            "context_switch");
-            return;
-        }
-    }
-    panic("switch to a space this kernel does not own");
-}
-
-void
-SimKernel::threadSwitch()
-{
-    ProfScope prof("thread_switch");
-    SpanScope span("thread_switch", cycleCount);
-    ++tally.threadSwitches;
-    countEvent(HwCounter::ThreadSwitches);
-    Cycles start = cycleCount;
-    chargePrimitive(Primitive::ContextSwitch);
-    if (tracerEnabled())
-        Tracer::instance().complete(start, cycleCount - start,
-                                    TraceEvent::ThreadSwitch,
-                                    "thread_switch");
+    chargeEvents(KernelEvent::EmulatedInstr, n, sample_each, noEdit);
 }
 
 void
 SimKernel::emulateInstructions(std::uint64_t n)
 {
-    tally.emulatedInstrs += n;
-    countEvent(HwCounter::EmulatedInstrs, n);
-    // Each emulated instruction decodes and interprets in the kernel:
-    // a handful of cycles beyond the trap that delivered it.
-    if (tracerEnabled())
-        Tracer::instance().recordAt(cycleCount,
-                                    TraceEvent::EmulatedInstr,
-                                    TracePhase::Instant, "emulate", n);
-    const Cycles c = n * emulatedInstrCycles;
-    cycleCount += c;
-    primCycles += c;
-    if (profilerEnabled())
-        Profiler::instance().addLeafCycles("emulate_instr", c);
-    spanLeaf("emulate_instr", c);
+    chargeEvent(KernelEvent::EmulatedInstr, n, [] {});
 }
 
 void
-SimKernel::emulateTestAndSet()
+SimKernel::pteChange(AddressSpace &space, std::span<const Vpn> vpns,
+                     PageProt prot)
 {
-    ++tally.emulatedInstrs;
-    countEvent(HwCounter::EmulatedInstrs);
-    countEvent(HwCounter::EmulatedTasOps);
-    // A dedicated fast trap vector: hardware entry/exit plus a short
-    // interrupts-disabled test-and-set sequence (~80 cycles), much
-    // cheaper than the general trap path but far dearer than an
-    // atomic instruction would be.
-    cycleCount += tasCycles;
-    primCycles += tasCycles;
-    if (profilerEnabled())
-        Profiler::instance().addLeafCycles("emulated_test_and_set",
-                                           tasCycles);
-    spanLeaf("emulated_test_and_set", tasCycles);
+    // pageTable() empties the space's walk memo and nothing here
+    // refills it, so one call serves every page.
+    PageTable &table = space.pageTable();
+    const Asid asid = space.asid();
+    auto edit = [&](std::uint64_t i) {
+        table.protect(vpns[i], prot);
+        tlbModel.invalidate(vpns[i], asid);
+        if (pageFlushLines) {
+            countEvent(HwCounter::CacheFlushLines, pageFlushLines);
+            if (tracerEnabled())
+                Tracer::instance().instant(TraceEvent::CacheFlush,
+                                           "cache_flush_page",
+                                           pageFlushLines);
+        }
+    };
+    chargeEvents(KernelEvent::PteChange, vpns.size(), false, edit);
 }
 
 void
-SimKernel::otherException()
+SimKernel::contextSwitchTo(AddressSpace &target)
 {
-    ProfScope prof("exception");
-    SpanScope span("exception", cycleCount);
-    ++tally.otherExceptions;
-    countEvent(HwCounter::KernelTraps);
-    Cycles start = cycleCount;
-    chargePrimitive(Primitive::Trap);
-    if (tracerEnabled())
-        Tracer::instance().complete(start, cycleCount - start,
-                                    TraceEvent::TrapEnter, "exception");
+    if (&target == &currentSpace())
+        return;
+    std::size_t to = 0;
+    while (to < spaces.size() && spaces[to].get() != &target)
+        ++to;
+    if (to == spaces.size())
+        panic("switch to a space this kernel does not own");
+    chargeEvent(KernelEvent::AddrSpaceSwitch, 1, [&] {
+        // An address-space switch implies a thread switch (Table 7
+        // note); its row bumps the ThreadSwitches counter too.
+        ++tally.threadSwitches;
+        if (Cycles purge = tlbModel.switchContext()) {
+            countEvent(HwCounter::TlbPurgeCycles, purge);
+            chargeLeaf("tlb_purge", purge);
+        }
+        if (switchFlushLines) {
+            countEvent(HwCounter::CacheFlushLines, switchFlushLines);
+            if (tracerEnabled())
+                Tracer::instance().instant(TraceEvent::CacheFlush,
+                                           "cache_flush_all",
+                                           switchFlushLines);
+            countEvent(HwCounter::CacheFlushCycles, switchFlushCycles);
+            chargeLeaf("cache_flush", switchFlushCycles);
+        }
+        currentIdx = to;
+        touchWorkingSet();
+    });
 }
 
 void
@@ -552,21 +413,6 @@ SimKernel::touchPages(const std::vector<Vpn> &pages, bool kernel_space)
 }
 
 void
-SimKernel::touchWorkingSet()
-{
-    touchPages(currentSpace().workingSet(), false);
-}
-
-void
-SimKernel::chargeMicros(double us)
-{
-    Cycles c = desc.clock.microsToCycles(us);
-    cycleCount += c;
-    if (profilerEnabled())
-        Profiler::instance().addCycles(c);
-}
-
-void
 SimKernel::runUserCode(std::uint64_t instructions)
 {
     // Application instruction throughput scales with the machine's
@@ -578,20 +424,6 @@ SimKernel::runUserCode(std::uint64_t instructions)
     cycleCount += c;
     if (profilerEnabled())
         Profiler::instance().addLeafCycles("user_code", c);
-}
-
-double
-SimKernel::elapsedMicros() const
-{
-    return desc.clock.cyclesToMicros(cycleCount);
-}
-
-void
-SimKernel::resetAccounting()
-{
-    cycleCount = 0;
-    primCycles = 0;
-    tally = {};
 }
 
 } // namespace aosd

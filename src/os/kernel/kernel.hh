@@ -17,6 +17,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -25,6 +26,7 @@
 #include "mem/tlb.hh"
 #include "os/kernel/address_space.hh"
 #include "sim/counters/reconcile.hh"
+#include "sim/observers.hh"
 #include "sim/profile/profile.hh"
 
 namespace aosd
@@ -50,6 +52,13 @@ inline constexpr Cycles emulatedInstrCycles = 4;
  *  reconcileKernelWindow() over a workload window. */
 KernelWindowCosts kernelWindowCosts(const MachineDesc &machine);
 
+/** The kernel events SimKernel charges, one event-table row each. */
+enum class KernelEvent : std::uint8_t
+{
+    Syscall, Trap, Exception, ThreadSwitch, EmulatedTas, EmulatedInstr,
+    PteChange, AddrSpaceSwitch,
+};
+
 /**
  * One machine's kernel: time accounting + counting + TLB state, with
  * the §3.2 virtual-cache flushes charged as per-machine constants.
@@ -58,6 +67,14 @@ KernelWindowCosts kernelWindowCosts(const MachineDesc &machine);
  * cache per switch when untagged — visits the same lines at the same
  * cost. A change that makes the kernel access a cache must bring the
  * cache state (a functional Cache) back.
+ *
+ * Each KernelEvent is one row of kernel.cc's event table (name, price,
+ * counters, Counts field, trace records). An entry point charges `n`
+ * events of its kind in closed form while batchActive() (per-event
+ * constants × n, the Profiler's *Repeated updates,
+ * CounterSampler::tickRun), else through the per-event body n times;
+ * both leave byte-identical documents. `sample_each` adds the drivers'
+ * CounterSampler::tick(elapsedCycles(), primitiveCycles()) per event.
  */
 class SimKernel
 {
@@ -88,85 +105,67 @@ class SimKernel
      *  pidCount, as on real hardware). */
     AddressSpace &createSpace(const std::string &name);
 
-    AddressSpace &currentSpace();
+    AddressSpace &currentSpace() { return *spaces[currentIdx]; }
 
     /** The kernel's own space (mapped kernel data: page tables etc.). */
     AddressSpace &kernelSpace() { return *spaces.front(); }
 
-    // ---- primitive operations (charge + count) --------------------
+    // ---- kernel events (charge + count `n` of them) ---------------
     /** Null system call overhead (kernel entry + call prep + C call). */
-    void syscall();
+    void syscall(std::uint64_t n = 1, bool sample_each = false);
 
     /** A trap/fault/interrupt through the common machinery. */
-    void trap();
+    void trap(std::uint64_t n = 1, bool sample_each = false);
+
+    /** An interrupt or page fault ("other exceptions" in Table 7). */
+    void otherException(std::uint64_t n = 1, bool sample_each = false);
+
+    /** Kernel-thread switch within the current space (no mapping
+     *  change; counted separately, cf. Table 7 footnote). */
+    void threadSwitch(std::uint64_t n = 1, bool sample_each = false);
+
+    /** Fast-path kernel emulation of one interlocked test&set: a
+     *  minimal trap that disables interrupts, tests and sets (§4.1:
+     *  parthenon spends ~1/5 of its time synchronizing this way). */
+    void emulateTestAndSet(std::uint64_t n = 1, bool sample_each = false);
+
+    /** `n` separate one-instruction emulations: one attribution event
+     *  (profiler leaf sample, trace record) each. */
+    void emulateSingleInstructions(std::uint64_t n, bool sample_each = false);
+
+    /** One emulation episode: the kernel emulates `n` instructions on
+     *  behalf of user code (e.g. test&set on the MIPS, §4.1/§5), one
+     *  attribution event for all of them. */
+    void emulateInstructions(std::uint64_t n);
 
     /** Change one PTE and keep TLB/virtual cache consistent. */
-    void pteChange(AddressSpace &space, Vpn vpn, PageProt prot);
+    void
+    pteChange(AddressSpace &space, Vpn vpn, PageProt prot)
+    {
+        pteChange(space, std::span<const Vpn>(&vpn, 1), prot);
+    }
+
+    /** pteChange() on each page of `vpns`, in order. */
+    void pteChange(AddressSpace &space, std::span<const Vpn> vpns,
+                   PageProt prot);
 
     /** Full address-space context switch, including the hardware costs
      *  of the mapping change and any untagged-TLB/cache purges, plus
      *  the TLB refill of the target's working set. */
     void contextSwitchTo(AddressSpace &target);
 
-    /** Kernel-thread switch within the current space (no mapping
-     *  change; counted separately, cf. Table 7 footnote). */
-    void threadSwitch();
-
-    /** The kernel emulates `n` instructions on behalf of user code
-     *  (e.g. test&set on the MIPS, §4.1/§5). */
-    void emulateInstructions(std::uint64_t n);
-
-    /** Fast-path kernel emulation of one interlocked test&set: a
-     *  minimal trap that disables interrupts, tests and sets (§4.1:
-     *  parthenon spends ~1/5 of its time synchronizing this way). */
-    void emulateTestAndSet();
-
-    /** An interrupt or page fault ("other exceptions" in Table 7). */
-    void otherException();
-
     /** Count an "other exception" whose entry the caller already
      *  charged through trap() (a VM fault), without charging it again. */
     void countOtherException() { ++tally.otherExceptions; }
 
-    // ---- batched primitive operations -----------------------------
-    // Each *Batch(n) charges `n` back-to-back invocations of its
-    // per-event counterpart in one closed-form update: cycles and
-    // HwCounters as the cached per-event constants × n, profiler
-    // entries/self-cycles/histograms via the sampleN batch updates,
-    // sampler boundaries via CounterSampler::tickRun — byte-identical
-    // to the per-event loop in every JSON document. While a per-event
-    // observer is watching (the tracer on, or an open span-traced
-    // request) they run that per-event loop instead.
-    // `sample_each` reproduces the workload drivers' per-event
-    //   CounterSampler::tick(elapsedCycles(), primitiveCycles())
-    // after every event.
-
-    void syscallBatch(std::uint64_t n, bool sample_each = false);
-    void trapBatch(std::uint64_t n, bool sample_each = false);
-    void otherExceptionBatch(std::uint64_t n,
-                             bool sample_each = false);
-    void threadSwitchBatch(std::uint64_t n, bool sample_each = false);
-    void emulateTestAndSetBatch(std::uint64_t n,
-                                bool sample_each = false);
-
-    /** n × emulateInstructions(1) — one per-instruction histogram
-     *  sample each, *not* emulateInstructions(n), which folds the
-     *  whole run into a single attribution event. */
-    void emulateSingleInstructionsBatch(std::uint64_t n,
-                                        bool sample_each = false);
-
-    /** Batch-charge one pteChange per VPN, then step the per-page
-     *  state edits (PTE protection, TLB shootdown, virtual-cache
-     *  flush) at the batch boundary. The state ops commute with the
-     *  charges, so results equal the per-event loop's exactly. */
-    void pteChangeBatch(AddressSpace &space,
-                        const std::vector<Vpn> &vpns, PageProt prot);
-
-    /** Batching applies right now: no per-event observer is
-     *  watching. The tracer emits one record per event and an open
-     *  span-traced request nests one node per invocation, so a run
-     *  can only be coalesced while both are idle. */
-    bool batchActive() const;
+    /** The closed form applies: neither the tracer (records per
+     *  event) nor an open span-traced request (a node per event) is
+     *  watching. */
+    bool
+    batchActive() const
+    {
+        return !observing(observeTrace | observeSpans);
+    }
 
     // ---- memory references ----------------------------------------
     /**
@@ -181,7 +180,7 @@ class SimKernel
     void touchPages(const std::vector<Vpn> &pages, bool kernel_space);
 
     /** Touch the current space's working set (after a switch). */
-    void touchWorkingSet();
+    void touchWorkingSet() { touchPages(currentSpace().workingSet(), false); }
 
     // ---- direct charging ------------------------------------------
     /** Spend user/kernel computation time without counting anything.
@@ -193,7 +192,11 @@ class SimKernel
         if (profilerEnabled())
             Profiler::instance().addCycles(c);
     }
-    void chargeMicros(double us);
+    void
+    chargeMicros(double us)
+    {
+        chargeCycles(desc.clock.microsToCycles(us));
+    }
 
     /** Run user code for `instructions` at ~1 instruction/cycle scaled
      *  by the machine's application performance. */
@@ -201,7 +204,11 @@ class SimKernel
 
     // ---- results ---------------------------------------------------
     Cycles elapsedCycles() const { return cycleCount; }
-    double elapsedMicros() const;
+    double
+    elapsedMicros() const
+    {
+        return desc.clock.cyclesToMicros(cycleCount);
+    }
     double elapsedSeconds() const { return elapsedMicros() / 1e6; }
 
     /** Time spent inside primitive operations only (the §5 "% of time
@@ -212,33 +219,33 @@ class SimKernel
 
     Tlb &tlb() { return tlbModel; }
 
-    void resetAccounting();
+    void
+    resetAccounting()
+    {
+        cycleCount = primCycles = 0;
+        tally = {};
+    }
 
   private:
-    void chargePrimitive(Primitive p);
-    /** Closed-form chargePrimitive × n under an outer profiler scope
-     *  entered n times (the batch fast path; caller checked
-     *  batchActive()). Forced inline, as is batchScopedPrimitive:
-     *  a traffic sweep enters a *Batch point several times per
-     *  request, and a call there is a measurable share of a sweep. */
-    [[gnu::always_inline]] void chargePrimitiveBatch(const char *scope,
-                                                     Primitive p,
-                                                     std::uint64_t n);
-    /** Shared body of the scoped batch ops (syscall/trap/exception/
-     *  thread switch): count + HwCounter + charge + optional per-event
-     *  sampler boundaries. */
-    [[gnu::always_inline]] void
-    batchScopedPrimitive(const char *scope, Primitive p,
-                         std::uint64_t &count, HwCounter event,
-                         std::uint64_t n, bool sample_each);
+    /** Charge `c` primitive cycles to a profiler and span leaf. */
+    void chargeLeaf(const char *leaf, Cycles c);
+    /** Charge `n` events of `kind` (see the class comment); `edit(i)`
+     *  applies event i's state change. Forced inline: a traffic sweep
+     *  enters it several times per request. */
+    template <typename StateEdit>
+    [[gnu::always_inline]] void chargeEvents(KernelEvent kind, std::uint64_t n,
+                                             bool sample_each, StateEdit edit);
+    /** The per-event body: one event of `kind` counting `width` (an
+     *  emulation episode's instructions, else 1); `edit()` follows the
+     *  charge, inside the event's scope. */
+    template <typename StateEdit>
+    void chargeEvent(KernelEvent kind, std::uint64_t width,
+                     StateEdit edit);
     MachineDesc desc;
-    const PrimitiveCostDb &costs;
     /** cost(desc.id, p) resolved once per primitive at construction:
-     *  chargePrimitive runs per kernel event, so no map lookups there. */
+     *  the charging path runs per kernel event, so no map lookups. */
     std::array<const PrimitiveCost *, std::size(allPrimitives)>
         primCost{};
-    /** emulatedTasCycles(desc), charged per emulated test&set. */
-    const Cycles tasCycles;
     /** Lines a PTE change sweeps: the page's footprint on a virtually
      *  indexed cache, else 0. The PteChange primitive already charges
      *  the sweep, so only the lines are counted. */

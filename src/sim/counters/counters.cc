@@ -1,13 +1,10 @@
 #include "sim/counters/counters.hh"
 
-#include <algorithm>
-
 namespace aosd
 {
 
 namespace ctrdetail
 {
-constinit thread_local bool on = false;
 constinit thread_local std::array<std::uint64_t, numHwCounters> vals{};
 } // namespace ctrdetail
 
@@ -142,18 +139,6 @@ CounterSet::totalEvents() const
         if (!counterIsHighWater(static_cast<HwCounter>(i)))
             n += v[i];
     return n;
-}
-
-void
-CounterSet::merge(const CounterSet &other)
-{
-    for (std::size_t i = 0; i < numHwCounters; ++i) {
-        auto c = static_cast<HwCounter>(i);
-        if (counterIsHighWater(c))
-            v[i] = std::max(v[i], other.v[i]);
-        else
-            v[i] += other.v[i];
-    }
 }
 
 Json

@@ -16,15 +16,15 @@
  * penalties must reproduce the cycles the execution model charged —
  * the paper's own arithmetic for Tables 1/2/5.
  *
- * Counting is off by default; a disabled bump is one non-atomic load
- * and a predictable branch (the profdetail::on pattern). The hooks are
- * always compiled in: the cycles-explained arithmetic is read off these
- * counters, so a build without them would model a different machine.
+ * Counting is off by default; a disabled bump is one test of the
+ * observer mask (sim/observers.hh). The hooks are always compiled in:
+ * the cycles-explained arithmetic is read off these counters, so a
+ * build without them would model a different machine.
  *
  * Counter state is per thread: each simulation slice (see
  * sim/parallel/parallel_runner.hh) counts into its own file, so
- * parallel jobs never race on a bump, and shards combine with
- * CounterSet::merge() in task-index order.
+ * parallel jobs never race on a bump, and each cell's result carries
+ * its own snapshot back in task-index order.
  */
 
 #ifndef AOSD_SIM_COUNTERS_COUNTERS_HH
@@ -35,6 +35,7 @@
 #include <cstdint>
 
 #include "sim/json.hh"
+#include "sim/observers.hh"
 
 namespace aosd
 {
@@ -135,15 +136,9 @@ counterIsHighWater(HwCounter c)
 
 namespace ctrdetail
 {
-/** The counter subsystem's on/off flag and value array. Namespace-
- *  scope (not behind an instance() call) so the disabled fast path in
- *  the execution model's per-op loop is one non-atomic load and a
- *  branch, and thread-local so every simulation slice counts into its
- *  own file without atomics. `constinit` (here and on the profiler,
- *  tracer, span-tracer and sampler flags) tells every includer that
- *  no dynamic TLS initializer exists, so a check reads the slot
- *  directly instead of first calling a TLS wrapper function. */
-extern constinit thread_local bool on;
+/** The counter file. Namespace-scope and thread-local, like the
+ *  observer mask, so every simulation slice counts into its own file
+ *  without atomics. */
 extern constinit thread_local std::array<std::uint64_t, numHwCounters> vals;
 } // namespace ctrdetail
 
@@ -151,14 +146,14 @@ extern constinit thread_local std::array<std::uint64_t, numHwCounters> vals;
 inline bool
 countersEnabled()
 {
-    return ctrdetail::on;
+    return observing(observeCounters);
 }
 
 /** Bump an event counter (saturation-free 64-bit accumulate). */
 inline void
 countEvent(HwCounter c, std::uint64_t n = 1)
 {
-    if (ctrdetail::on)
+    if (countersEnabled())
         ctrdetail::vals[static_cast<std::size_t>(c)] += n;
 }
 
@@ -166,7 +161,7 @@ countEvent(HwCounter c, std::uint64_t n = 1)
 inline void
 countHighWater(HwCounter c, std::uint64_t v)
 {
-    if (ctrdetail::on) {
+    if (countersEnabled()) {
         std::uint64_t &s = ctrdetail::vals[static_cast<std::size_t>(c)];
         if (v > s)
             s = v;
@@ -202,12 +197,6 @@ class CounterSet
      *  "did anything happen" probe for tests. */
     std::uint64_t totalEvents() const;
 
-    /** Fold another shard's events into this one: counters sum,
-     *  high-water counters keep the larger value. Commutative and
-     *  associative with the zero CounterSet as identity, so merging
-     *  parallel slices in task-index order is well defined. */
-    void merge(const CounterSet &other);
-
     /** {"<counter_name>": value, ...} — every counter, declaration
      *  order, zeros included (goldens diff cleanly). */
     Json toJson() const;
@@ -234,14 +223,14 @@ class HwCounters
     enable()
     {
         reset();
-        ctrdetail::on = true;
+        setObserving(observeCounters, true);
     }
 
     /** Stop counting; values remain readable. */
-    void disable() { ctrdetail::on = false; }
+    void disable() { setObserving(observeCounters, false); }
 
     /** Continue counting without resetting. */
-    void resume() { ctrdetail::on = true; }
+    void resume() { setObserving(observeCounters, true); }
 
     bool enabled() const { return countersEnabled(); }
 

@@ -44,24 +44,6 @@ Histogram::reset()
     n = sum = lo = hi = 0;
 }
 
-void
-Histogram::merge(const Histogram &other)
-{
-    if (other.n == 0)
-        return;
-    if (n == 0) {
-        lo = other.lo;
-        hi = other.hi;
-    } else {
-        lo = std::min(lo, other.lo);
-        hi = std::max(hi, other.hi);
-    }
-    for (std::size_t i = 0; i < bucketCount; ++i)
-        counts[i] += other.counts[i];
-    n += other.n;
-    sum += other.sum;
-}
-
 double
 Histogram::mean() const
 {

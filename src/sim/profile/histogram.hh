@@ -70,11 +70,6 @@ class Histogram
 
     void reset();
 
-    /** Fold another histogram's samples into this one (bucket counts,
-     *  count and sum add; min/max combine). Associative with the empty
-     *  histogram as identity — the shard-merge requirement. */
-    void merge(const Histogram &other);
-
     std::uint64_t count() const { return n; }
     std::uint64_t total() const { return sum; }
     /** 0 when empty (documented, never NaN). */

@@ -3,11 +3,6 @@
 namespace aosd
 {
 
-namespace profdetail
-{
-constinit thread_local bool on = false;
-} // namespace profdetail
-
 ProfNode *
 ProfNode::child(const char *child_name)
 {
@@ -37,16 +32,6 @@ ProfNode::totalCycles() const
     for (const auto &c : children)
         total += c->totalCycles();
     return total;
-}
-
-void
-ProfNode::mergeFrom(const ProfNode &other)
-{
-    selfCycles += other.selfCycles;
-    entries += other.entries;
-    spans.merge(other.spans);
-    for (const auto &oc : other.children)
-        child(oc->name.c_str())->mergeFrom(*oc);
 }
 
 Json
@@ -81,7 +66,7 @@ void
 Profiler::enable()
 {
     clear();
-    profdetail::on = true;
+    setObserving(observeProfile, true);
 }
 
 void
@@ -99,7 +84,7 @@ Profiler::clear()
 void
 Profiler::addLeafCycles(const char *leaf, Cycles c)
 {
-    if (!profdetail::on)
+    if (!profilerEnabled())
         return;
     ProfNode *node = cur->child(leaf);
     node->selfCycles += c;
@@ -112,7 +97,7 @@ void
 Profiler::addLeafCyclesRepeated(const char *leaf, Cycles each,
                                 std::uint64_t k)
 {
-    if (!profdetail::on || k == 0)
+    if (!profilerEnabled() || k == 0)
         return;
     ProfNode *node = cur->child(leaf);
     node->selfCycles += each * k;
@@ -124,7 +109,7 @@ Profiler::addLeafCyclesRepeated(const char *leaf, Cycles each,
 ProfNode *
 Profiler::pushRepeated(const char *name, std::uint64_t k)
 {
-    if (!profdetail::on)
+    if (!profilerEnabled())
         return nullptr;
     cur = cur->child(name);
     cur->entries += k;

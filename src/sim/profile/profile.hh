@@ -16,13 +16,14 @@
  * tools/aosd_profile asserts this per machine × primitive, so "where
  * did the cycles go" always sums to "how long did it take".
  *
- * Profiling is off by default; a disabled ProfScope costs one branch.
- * The hooks are always compiled in: Table 5's system-call anatomy is
- * read off this tree (see EXPERIMENTS.md).
+ * Profiling is off by default; a disabled ProfScope costs one test of
+ * the observer mask (sim/observers.hh). The hooks are always compiled
+ * in: Table 5's system-call anatomy is read off this tree (see
+ * EXPERIMENTS.md).
  *
  * Profiler state is per thread: each simulation slice (see
  * sim/parallel/parallel_runner.hh) attributes into its own tree, and
- * shard trees combine with ProfNode::mergeFrom() in task-index order.
+ * each cell's result carries its own tree back in task-index order.
  */
 
 #ifndef AOSD_SIM_PROFILE_PROFILE_HH
@@ -34,27 +35,18 @@
 #include <vector>
 
 #include "sim/json.hh"
+#include "sim/observers.hh"
 #include "sim/profile/histogram.hh"
 #include "sim/ticks.hh"
 
 namespace aosd
 {
 
-namespace profdetail
-{
-/** The profiler's on/off flag. A namespace-scope bool (not a member
- *  behind Profiler::instance()) so the disabled fast path in the
- *  simulator's hot loops is one non-atomic load and a branch — no
- *  function-local-static guard — and thread-local so each simulation
- *  slice profiles independently. */
-extern constinit thread_local bool on;
-} // namespace profdetail
-
 /** Cheapest possible "is profiling on?" check for hot paths. */
 inline bool
 profilerEnabled()
 {
-    return profdetail::on;
+    return observing(observeProfile);
 }
 
 /** One node of the attribution tree. */
@@ -78,13 +70,6 @@ struct ProfNode
 
     /** selfCycles plus every descendant's. */
     Cycles totalCycles() const;
-
-    /** Fold another shard's subtree into this one: cycles, entry
-     *  counts and span histograms sum node by node (matched by name;
-     *  unmatched children are deep-copied in the other tree's child
-     *  order). Associative with the empty tree as identity, so merging
-     *  parallel slices in task-index order is well defined. */
-    void mergeFrom(const ProfNode &other);
 
     /** {"self_cycles":..,"total_cycles":..,"count":..,
      *   "p50_cycles":..,"p90_cycles":..,"p99_cycles":..,
@@ -111,10 +96,10 @@ class Profiler
     void enable();
 
     /** Stop attributing; the tree remains readable. */
-    void disable() { profdetail::on = false; }
+    void disable() { setObserving(observeProfile, false); }
 
     /** Continue attributing into the existing tree (after disable()). */
-    void resume() { profdetail::on = true; }
+    void resume() { setObserving(observeProfile, true); }
 
     bool enabled() const { return profilerEnabled(); }
 
@@ -126,7 +111,7 @@ class Profiler
     void
     addCycles(Cycles c)
     {
-        if (!profdetail::on)
+        if (!profilerEnabled())
             return;
         cur->selfCycles += c;
         attributed += c;
@@ -203,7 +188,7 @@ class ProfScope
   public:
     explicit ProfScope(const char *name)
     {
-        if (!profdetail::on)
+        if (!profilerEnabled())
             return;
         Profiler &p = Profiler::instance();
         entryAttributed = p.attributedCycles();
@@ -225,32 +210,6 @@ class ProfScope
     ProfNode *node = nullptr;
     Cycles entryAttributed = 0;
     std::uint64_t entryGeneration = 0;
-};
-
-/**
- * RAII attribution pause: helper simulations inside analytic models
- * (e.g. the LRPC steady-state TLB warm-up) run under one of these so
- * their charges don't pollute the caller's attribution tree.
- */
-class ProfPause
-{
-  public:
-    ProfPause() : wasOn(Profiler::instance().enabled())
-    {
-        Profiler::instance().disable();
-    }
-
-    ~ProfPause()
-    {
-        if (wasOn)
-            Profiler::instance().resume();
-    }
-
-    ProfPause(const ProfPause &) = delete;
-    ProfPause &operator=(const ProfPause &) = delete;
-
-  private:
-    bool wasOn;
 };
 
 } // namespace aosd

@@ -5,11 +5,6 @@
 namespace aosd
 {
 
-namespace smpdetail
-{
-constinit thread_local bool on = false;
-} // namespace smpdetail
-
 CounterSampler &
 CounterSampler::instance()
 {
@@ -32,7 +27,7 @@ CounterSampler::begin(const SamplerConfig &cfg, Cycles start_cycle,
     cap = cfg.capacity ? cfg.capacity : 1;
     nextDue = start_cycle + cfg.intervalCycles;
     lastSample = start_cycle;
-    smpdetail::on = cfg.intervalCycles > 0;
+    setObserving(observeSampler, cfg.intervalCycles > 0);
 }
 
 void
@@ -88,7 +83,7 @@ CounterSampler::tickRun(Cycles start, Cycles per_event,
                         std::uint64_t aux_start,
                         std::uint64_t aux_per_event)
 {
-    if (!smpdetail::on || n == 0)
+    if (!samplingEnabled() || n == 0)
         return;
     if (per_event == 0) {
         // Zero-cost events never advance the clock, so the per-event
@@ -132,7 +127,7 @@ CounterSampler::finish(Cycles end_cycle, double aux)
     if (end_cycle > lastSample)
         take(end_cycle, aux);
     series_.endCycle = end_cycle;
-    smpdetail::on = false;
+    setObserving(observeSampler, false);
 }
 
 Json

@@ -14,9 +14,9 @@
  * phase-resolved view that connects OS behavior back to architectural
  * mechanisms.
  *
- * Sampling is off by default; a disabled tick is one thread-local load
- * and a predictable branch (the ctrdetail::on / profdetail::on /
- * trcdetail::on pattern). The hooks are always compiled in;
+ * Sampling is off by default; a disabled tick is one test of the
+ * observer mask (sim/observers.hh) and a predictable branch. The hooks
+ * are always compiled in;
  * EXPERIMENTS.md says where their cost is measured.
  *
  * Sampler state is per thread: each simulation slice (see
@@ -35,25 +35,17 @@
 
 #include "sim/counters/counters.hh"
 #include "sim/json.hh"
+#include "sim/observers.hh"
 #include "sim/ticks.hh"
 
 namespace aosd
 {
 
-namespace smpdetail
-{
-/** The sampler's on/off flag. Namespace-scope and thread-local so the
- *  disabled fast path in the workload drivers' per-iteration loops is
- *  one load and a branch, and each simulation slice samples
- *  independently. */
-extern constinit thread_local bool on;
-} // namespace smpdetail
-
 /** Cheapest possible "is sampling on?" check for hot paths. */
 inline bool
 samplingEnabled()
 {
-    return smpdetail::on;
+    return observing(observeSampler);
 }
 
 /** How a sampling session runs. */
@@ -131,7 +123,7 @@ class CounterSampler
     void
     tick(Cycles now, double aux = 0)
     {
-        if (!smpdetail::on)
+        if (!samplingEnabled())
             return;
         if (now < nextDue)
             return;

@@ -3,11 +3,6 @@
 namespace aosd
 {
 
-namespace spdetail
-{
-constinit thread_local bool on = false;
-} // namespace spdetail
-
 Json
 SpanNode::toJson() const
 {
@@ -40,24 +35,6 @@ SpanSession::find(const std::string &name) const
     return nullptr;
 }
 
-void
-SpanSession::merge(const SpanSession &other)
-{
-    for (const auto &[name, hist] : other.hists) {
-        Histogram *mine = nullptr;
-        for (auto &[my_name, my_hist] : hists)
-            if (my_name == name)
-                mine = &my_hist;
-        if (mine)
-            mine->merge(hist);
-        else
-            hists.emplace_back(name, hist);
-    }
-    requests.insert(requests.end(), other.requests.begin(),
-                    other.requests.end());
-    dropped += other.dropped;
-}
-
 SpanTracer &
 SpanTracer::instance()
 {
@@ -74,7 +51,7 @@ SpanTracer::enable(std::size_t capacity)
     capacity_ = capacity;
     armed_ = true;
     ++gen_;
-    spdetail::on = false;
+    setObserving(observeSpans, false);
 }
 
 void
@@ -83,7 +60,7 @@ SpanTracer::disable()
     armed_ = false;
     stack_.clear();
     ++gen_;
-    spdetail::on = false;
+    setObserving(observeSpans, false);
 }
 
 void
@@ -92,7 +69,7 @@ SpanTracer::beginRequest(const char *name, std::uint64_t id,
 {
     if (!armed_)
         return;
-    if (spdetail::on)
+    if (spantraceEnabled())
         endRequest(now);
     requestRoot_ = SpanNode{};
     requestRoot_.name = name;
@@ -101,21 +78,21 @@ SpanTracer::beginRequest(const char *name, std::uint64_t id,
     stack_.push_back(
         {&requestRoot_, now, HwCounters::instance().snapshot(), false});
     ++gen_;
-    spdetail::on = true;
+    setObserving(observeSpans, true);
 }
 
 void
 SpanTracer::endRequest(Cycles now)
 {
-    if (!spdetail::on)
+    if (!spantraceEnabled())
         return;
     if (stack_.empty()) {
-        spdetail::on = false;
+        setObserving(observeSpans, false);
         return;
     }
     while (!stack_.empty())
         closeTop(now);
-    spdetail::on = false;
+    setObserving(observeSpans, false);
     ++gen_;
 
     Histogram *hist = nullptr;
@@ -158,7 +135,7 @@ SpanTracer::closeTop(Cycles now)
 SpanNode *
 SpanTracer::push(const char *name, Cycles now)
 {
-    if (!spdetail::on)
+    if (!spantraceEnabled())
         return nullptr;
     SpanNode *parent = stack_.back().node;
     parent->children.emplace_back();
@@ -172,7 +149,7 @@ SpanTracer::push(const char *name, Cycles now)
 void
 SpanTracer::pop(SpanNode *node, Cycles now, std::uint64_t gen)
 {
-    if (gen != gen_ || !spdetail::on)
+    if (gen != gen_ || !spantraceEnabled())
         return;
     while (stack_.size() > 1) {
         SpanNode *top = stack_.back().node;
@@ -185,7 +162,7 @@ SpanTracer::pop(SpanNode *node, Cycles now, std::uint64_t gen)
 SpanNode *
 SpanTracer::pushGroup(const char *name)
 {
-    if (!spdetail::on)
+    if (!spantraceEnabled())
         return nullptr;
     SpanNode *parent = stack_.back().node;
     parent->children.emplace_back();
@@ -199,7 +176,7 @@ SpanTracer::pushGroup(const char *name)
 void
 SpanTracer::popGroup(SpanNode *node, std::uint64_t gen)
 {
-    if (gen != gen_ || !spdetail::on)
+    if (gen != gen_ || !spantraceEnabled())
         return;
     while (stack_.size() > 1) {
         SpanNode *top = stack_.back().node;
@@ -212,7 +189,7 @@ SpanTracer::popGroup(SpanNode *node, std::uint64_t gen)
 void
 SpanTracer::leaf(const char *name, Cycles cycles)
 {
-    if (!spdetail::on)
+    if (!spantraceEnabled())
         return;
     SpanNode *parent = stack_.back().node;
     parent->children.emplace_back();

@@ -14,15 +14,15 @@
  * exemplars (full tree + counter deltas) and a tail-vs-median
  * attribution priced with the reconcile layer's constants.
  *
- * Tracing is off by default; a disabled hook costs one non-atomic
- * thread-local load and a branch (the profdetail::on pattern —
- * spdetail::on is true only while a request is open inside an armed
- * session, so idle hooks never take the slow path). The hooks are
- * always compiled in; EXPERIMENTS.md says where their cost is measured.
+ * Tracing is off by default; a disabled hook costs one test of the
+ * observer mask (sim/observers.hh) and a branch. The span bit is set
+ * only while a request is open inside an armed session, so idle hooks
+ * never take the slow path. The hooks are always compiled in;
+ * EXPERIMENTS.md says where their cost is measured.
  *
  * Tracer state is per thread: each simulation slice (see
  * sim/parallel/parallel_runner.hh) traces into its own session, and
- * shard sessions combine with SpanSession::merge() in task-index
+ * each cell's result carries its own session back in task-index
  * order, so `--jobs N` output is byte-identical.
  */
 
@@ -37,28 +37,20 @@
 
 #include "sim/counters/counters.hh"
 #include "sim/json.hh"
+#include "sim/observers.hh"
 #include "sim/profile/histogram.hh"
 #include "sim/ticks.hh"
 
 namespace aosd
 {
 
-namespace spdetail
-{
-/** The tracer's in-request flag. Namespace-scope and thread-local for
- *  the same reason as profdetail::on: the disabled fast path in the
- *  simulator's hot loops is one non-atomic load and a branch. True
- *  only between beginRequest() and endRequest() of an armed session,
- *  so hooks outside any request cost the same as a disabled build. */
-extern constinit thread_local bool on;
-} // namespace spdetail
-
 /** Cheapest possible "is a traced request open?" check for hot
- *  paths. */
+ *  paths. True only between beginRequest() and endRequest() of an
+ *  armed session. */
 inline bool
 spantraceEnabled()
 {
-    return spdetail::on;
+    return observing(observeSpans);
 }
 
 /** One span of a request's tree. Unlike ProfNode, children are not
@@ -109,13 +101,6 @@ struct SpanSession
     std::uint64_t dropped = 0;
 
     const Histogram *find(const std::string &name) const;
-
-    /** Fold another shard's session into this one: histograms merge
-     *  by name (unmatched names append in the other's order),
-     *  requests append after ours, dropped counts sum. Associative
-     *  with the empty session as identity, so merging parallel slices
-     *  in task-index order is well defined. */
-    void merge(const SpanSession &other);
 };
 
 /**
@@ -209,7 +194,7 @@ class SpanScope
   public:
     SpanScope(const char *name, const Cycles &clock)
     {
-        if (!spdetail::on)
+        if (!spantraceEnabled())
             return;
         SpanTracer &t = SpanTracer::instance();
         clock_ = &clock;
@@ -242,7 +227,7 @@ class SpanGroup
   public:
     explicit SpanGroup(const char *name)
     {
-        if (!spdetail::on)
+        if (!spantraceEnabled())
             return;
         SpanTracer &t = SpanTracer::instance();
         gen_ = t.generation();
@@ -263,29 +248,11 @@ class SpanGroup
     std::uint64_t gen_ = 0;
 };
 
-/**
- * RAII tracing pause: helper simulations inside analytic models (the
- * LRPC steady-state TLB warm-up) run under one of these so their
- * kernel hooks don't nest phantom spans into the caller's open
- * request (the ProfPause analog).
- */
-class SpanPause
-{
-  public:
-    SpanPause() : was_(spdetail::on) { spdetail::on = false; }
-    ~SpanPause() { spdetail::on = was_; }
-    SpanPause(const SpanPause &) = delete;
-    SpanPause &operator=(const SpanPause &) = delete;
-
-  private:
-    bool was_;
-};
-
 /** Record a closed leaf span of `cycles` under the current span. */
 inline void
 spanLeaf(const char *name, Cycles cycles)
 {
-    if (spdetail::on)
+    if (spantraceEnabled())
         SpanTracer::instance().leaf(name, cycles);
 }
 

@@ -5,11 +5,6 @@
 namespace aosd
 {
 
-namespace trcdetail
-{
-constinit thread_local bool on = false;
-} // namespace trcdetail
-
 const char *
 traceEventName(TraceEvent e)
 {
@@ -132,7 +127,7 @@ Tracer::enable(std::size_t cap)
     count = 0;
     droppedCount = 0;
     now = 0;
-    trcdetail::on = true;
+    setObserving(observeTrace, true);
 }
 
 const TraceRecord &

@@ -10,9 +10,9 @@
  * when full (tracing never allocates on the hot path and never stops
  * the simulation).
  *
- * Tracing is off by default; when disabled every record call is a
- * single predictable branch (trcdetail::on, the ctrdetail::on /
- * profdetail::on pattern). The buffer exports to the chrome://tracing
+ * Tracing is off by default; when disabled every record call is one
+ * test of the observer mask (sim/observers.hh) and a predictable
+ * branch. The buffer exports to the chrome://tracing
  * / Perfetto JSON format, with cycles as the time unit.
  *
  * Tracer state is per thread: every simulation slice (see
@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "sim/json.hh"
+#include "sim/observers.hh"
 #include "sim/ticks.hh"
 
 namespace aosd
@@ -68,23 +69,13 @@ int traceEventLane(TraceEvent e);
  *  metadata so the UI labels the track. */
 const char *traceLaneName(int lane);
 
-namespace trcdetail
-{
-/** The tracer's on/off flag. Namespace-scope and thread-local (not a
- *  member behind Tracer::instance()) so the disabled fast path in the
- *  execution model's per-op loop is one predictable branch with no
- *  function-local-static guard, and so each simulation slice traces
- *  independently. */
-extern constinit thread_local bool on;
-} // namespace trcdetail
-
 /** Cheapest possible "is tracing on?" check for hot paths. Guards the
  *  Tracer::instance() call itself, so a disabled tracer costs one
  *  thread-local load and a branch. */
 inline bool
 tracerEnabled()
 {
-    return trcdetail::on;
+    return observing(observeTrace);
 }
 
 /** Chrome trace phase: B(egin), E(nd), X (complete), i (instant),
@@ -126,9 +117,9 @@ class Tracer
     void enable(std::size_t capacity = 1 << 16);
 
     /** Stop tracing; the buffer remains readable until enable(). */
-    void disable() { trcdetail::on = false; }
+    void disable() { setObserving(observeTrace, false); }
 
-    bool enabled() const { return trcdetail::on; }
+    bool enabled() const { return tracerEnabled(); }
 
     /** Advance the trace clock; records without an explicit cycle are
      *  stamped with the latest value. Never moves backwards. */
@@ -146,7 +137,7 @@ class Tracer
     record(TraceEvent e, TracePhase ph, const char *name,
            std::uint64_t arg = 0, Cycles duration = 0)
     {
-        if (!trcdetail::on)
+        if (!tracerEnabled())
             return;
         push({now, duration, arg, name, e, ph});
     }
@@ -160,7 +151,7 @@ class Tracer
              const char *name, std::uint64_t arg = 0,
              Cycles duration = 0)
     {
-        if (!trcdetail::on)
+        if (!tracerEnabled())
             return;
         setCycle(cycle);
         push({now, duration, arg, name, e, ph});
@@ -187,7 +178,7 @@ class Tracer
     complete(Cycles start, Cycles duration, TraceEvent e,
              const char *name, std::uint64_t arg = 0)
     {
-        if (!trcdetail::on)
+        if (!tracerEnabled())
             return;
         recordAt(start, e, TracePhase::Complete, name, arg, duration);
         setCycle(now + duration);

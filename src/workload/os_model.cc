@@ -149,12 +149,12 @@ MachSystem::run(const AppProfile &app)
         if (osStructure == OsStructure::Monolithic) {
             serviceCallMonolithic(kernel, app_space, daemon, app, rng);
             // Drain each accumulator to a count, then charge the
-            // whole homogeneous run in one batched call.
+            // whole homogeneous run in one kernel call.
             std::uint64_t emul25_n = 0;
             for (emul25_acc += emul25_per; emul25_acc >= 1;
                  emul25_acc -= 1)
                 ++emul25_n;
-            kernel.emulateSingleInstructionsBatch(emul25_n);
+            kernel.emulateSingleInstructions(emul25_n);
         } else {
             serviceCallSmallKernel(kernel, app_space, unix_server,
                                    cache_mgr, app, rng);
@@ -166,7 +166,7 @@ MachSystem::run(const AppProfile &app)
         std::uint64_t faults_n = 0;
         for (faults_acc += faults_per; faults_acc >= 1; faults_acc -= 1)
             ++faults_n;
-        kernel.otherExceptionBatch(faults_n);
+        kernel.otherException(faults_n);
         // Interrupt handling interleaves a stateful kernel-pool touch
         // (TLB content, rng draws) per event, so it stays stepped.
         for (ints_acc += ints_per; ints_acc >= 1; ints_acc -= 1) {
@@ -176,12 +176,12 @@ MachSystem::run(const AppProfile &app)
         std::uint64_t intra_n = 0;
         for (intra_acc += intra_per; intra_acc >= 1; intra_acc -= 1)
             ++intra_n;
-        kernel.threadSwitchBatch(intra_n);
+        kernel.threadSwitch(intra_n);
         std::uint64_t locks_n = 0;
         for (locks_acc += locks_per; locks_acc >= 1; locks_acc -= 1)
             ++locks_n;
         if (needs_tas_emulation)
-            kernel.emulateTestAndSetBatch(locks_n);
+            kernel.emulateTestAndSet(locks_n);
         else if (locks_n)
             // addCycles has no per-event observable (no entry count,
             // no histogram), so one aggregate charge is exact.
@@ -198,9 +198,9 @@ MachSystem::run(const AppProfile &app)
     auto clock_ints = static_cast<std::uint64_t>(
         elapsed * cfg.clockInterruptHz);
     // sample_each: the per-event loop ticked the sampler after every
-    // clock interrupt; the batched charge reproduces each crossed
+    // clock interrupt; the closed-form charge reproduces each crossed
     // interval boundary via CounterSampler::tickRun.
-    kernel.otherExceptionBatch(clock_ints, /*sample_each=*/true);
+    kernel.otherException(clock_ints, /*sample_each=*/true);
     auto resched = static_cast<std::uint64_t>(
         elapsed * cfg.quantumSwitchesPerSecond / 2.0);
     for (std::uint64_t i = 0; i < resched; ++i) {

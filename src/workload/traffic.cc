@@ -138,25 +138,25 @@ diurnalFactor(double x)
     return x <= 0.5 ? 0.5 + 2.0 * x : 2.5 - 2.0 * x;
 }
 
-/** Issue one request's primitive mix through the batched kernel entry
- *  points. `pte_cursor` round-robins the mapped PTE range. */
+/** Issue one request's primitive mix, one kernel entry point call
+ *  per event kind. `pte_cursor` round-robins the mapped PTE range. */
 void
 issueRequest(SimKernel &kernel, AddressSpace &space,
              const RequestClass &c, std::vector<Vpn> &vpn_scratch,
              std::uint64_t &pte_cursor)
 {
     if (c.syscalls)
-        kernel.syscallBatch(c.syscalls);
+        kernel.syscall(c.syscalls);
     if (c.traps)
-        kernel.trapBatch(c.traps);
+        kernel.trap(c.traps);
     if (c.exceptions)
-        kernel.otherExceptionBatch(c.exceptions);
+        kernel.otherException(c.exceptions);
     if (c.threadSwitches)
-        kernel.threadSwitchBatch(c.threadSwitches);
+        kernel.threadSwitch(c.threadSwitches);
     if (c.tasOps)
-        kernel.emulateTestAndSetBatch(c.tasOps);
+        kernel.emulateTestAndSet(c.tasOps);
     if (c.emulInstrs)
-        kernel.emulateSingleInstructionsBatch(c.emulInstrs);
+        kernel.emulateSingleInstructions(c.emulInstrs);
     if (c.pteChanges) {
         vpn_scratch.clear();
         for (std::uint32_t i = 0; i < c.pteChanges; ++i)
@@ -164,7 +164,7 @@ issueRequest(SimKernel &kernel, AddressSpace &space,
                                   pte_cursor++ % trafficPtePages);
         PageProt prot;
         prot.writable = (pte_cursor & 1) != 0;
-        kernel.pteChangeBatch(space, vpn_scratch, prot);
+        kernel.pteChange(space, vpn_scratch, prot);
     }
 }
 
@@ -544,22 +544,22 @@ replayEventMix(SimKernel &kernel, AddressSpace *pte_space,
         std::uint64_t n = rng.between(1, 256);
         switch (rng.below(kinds)) {
           case 0:
-            kernel.syscallBatch(n, sample_each);
+            kernel.syscall(n, sample_each);
             break;
           case 1:
-            kernel.trapBatch(n, sample_each);
+            kernel.trap(n, sample_each);
             break;
           case 2:
-            kernel.otherExceptionBatch(n, sample_each);
+            kernel.otherException(n, sample_each);
             break;
           case 3:
-            kernel.threadSwitchBatch(n, sample_each);
+            kernel.threadSwitch(n, sample_each);
             break;
           case 4:
-            kernel.emulateTestAndSetBatch(n, sample_each);
+            kernel.emulateTestAndSet(n, sample_each);
             break;
           case 5:
-            kernel.emulateSingleInstructionsBatch(n, sample_each);
+            kernel.emulateSingleInstructions(n, sample_each);
             break;
           default: {
             vpns.clear();
@@ -568,7 +568,7 @@ replayEventMix(SimKernel &kernel, AddressSpace *pte_space,
                                cursor++ % trafficPtePages);
             PageProt prot;
             prot.writable = (cursor & 1) != 0;
-            kernel.pteChangeBatch(*pte_space, vpns, prot);
+            kernel.pteChange(*pte_space, vpns, prot);
             break;
           }
         }

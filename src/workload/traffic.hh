@@ -20,10 +20,10 @@
  *
  * Everything is integer-cycle or +,-,×,÷ double arithmetic on
  * deterministic Rng draws — no libm — so traffic.json is
- * byte-identical across --jobs values. The kernel's batched entry
- * points (SimKernel::*Batch) are what make million-request sweeps
- * affordable: each request's primitive runs are charged in closed
- * form instead of event by event.
+ * byte-identical across --jobs values. SimKernel's closed-form
+ * charging of a run of n events is what makes million-request sweeps
+ * affordable: each request's primitive runs are charged in one update
+ * each instead of event by event.
  */
 
 #ifndef AOSD_WORKLOAD_TRAFFIC_HH
@@ -124,17 +124,17 @@ Json buildTrafficDoc(const TrafficConfig &cfg, ParallelRunner &runner);
 
 /**
  * Drive ~`total_events` kernel events through `kernel` as seeded
- * randomized homogeneous runs over every batchable primitive, via the
- * batched entry points, so each run is charged in closed form while
- * no per-event observer is watching. Each run draws its length
+ * randomized homogeneous runs over every kernel event kind, one entry
+ * point call per run, so each run is charged in closed form while no
+ * per-event observer is watching. Each run draws its length
  * (Rng::between(1, 256)), then its kind (Rng::below(7), or below(6)
  * without PTE changes) in the order syscall, trap, other exception,
  * thread switch, emulated test&set, emulated instruction, PTE change.
  * `pte_space` (may be null to skip PTE-change runs) needs pages
  * mapped at 0x1000; `sample_each` reproduces a per-event sampler tick
  * for every event. Returns the number of events issued
- * (>= total_events). Shared by the batch-equivalence property tests
- * and BM_KernelWindowBatched.
+ * (>= total_events). Shared by the closed-form-equivalence property
+ * tests and BM_KernelWindowBatched.
  */
 std::uint64_t replayEventMix(SimKernel &kernel, AddressSpace *pte_space,
                              std::uint64_t total_events,

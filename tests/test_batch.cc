@@ -1,12 +1,12 @@
 /**
  * @file
- * Tests for the kernel-window batch charger (the SimKernel *Batch
- * entry points): the central equivalence property — a batched run
- * leaves *exactly* the state of the same events issued one call at a
- * time through syscall(), trap(), ... (cycles, every hardware
- * counter, kernel counts, the profiler tree, the sampler series) on
- * every Table 1 machine, under randomized event mixes — and the
- * CounterSampler::tickRun multi-interval regression (a batch spanning
+ * Tests for SimKernel's closed-form charging of a run of n kernel
+ * events: the central equivalence property — a run charged in closed
+ * form leaves *exactly* the state of the same events charged one at a
+ * time by the per-event body (cycles, every hardware counter, kernel
+ * counts, the profiler tree, the sampler series) on every Table 1
+ * machine, under randomized event mixes — and the
+ * CounterSampler::tickRun multi-interval regression (a run spanning
  * several sample intervals emits one sample per boundary crossed,
  * never one fat sample).
  */
@@ -72,10 +72,11 @@ struct RunState
 };
 
 /** The per-event reference for replayEventMix: the same seeded runs
- *  (length, then kind), each event one call to its per-event entry
- *  point, plus the workload drivers' sampler tick after it when
- *  `sample_each` is set (the batched PTE change takes no sampler
- *  flag, so neither does its per-event twin). */
+ *  (length, then kind), each event one entry point call, plus the
+ *  workload drivers' sampler tick after it when `sample_each` is set
+ *  (the PTE change takes no sampler flag, so neither does its twin
+ *  here). Run with the tracer armed, so every call takes the
+ *  per-event body, not the closed form. */
 void
 replayEventMixPerEvent(SimKernel &kernel, AddressSpace &space,
                        std::uint64_t total_events, std::uint64_t seed,
@@ -113,10 +114,10 @@ replayEventMixPerEvent(SimKernel &kernel, AddressSpace &space,
     }
 }
 
-/** Replay `total_events` of the randomized mix on `mid`, batched or
- *  one event at a time, and capture the complete observable state.
- *  `sample_each` adds per-event sampler boundaries under a 10k-cycle
- *  session. */
+/** Replay `total_events` of the randomized mix on `mid`, in closed
+ *  form or one event at a time through the per-event body, and
+ *  capture the complete observable state. `sample_each` adds
+ *  per-event sampler boundaries under a 10k-cycle session. */
 RunState
 runMix(MachineId mid, bool batched, std::uint64_t total_events,
        std::uint64_t seed, bool sample_each = false)
@@ -130,11 +131,18 @@ runMix(MachineId mid, bool batched, std::uint64_t total_events,
     if (sample_each)
         CounterSampler::instance().begin({10'000, 4096});
 
-    if (batched)
+    if (batched) {
         replayEventMix(kernel, &space, total_events, seed, sample_each);
-    else
+    } else {
+        // The tracer's records are not compared; arming it only
+        // steers every call onto the per-event body.
+        Tracer::instance().enable(1 << 10);
+        EXPECT_FALSE(kernel.batchActive());
         replayEventMixPerEvent(kernel, space, total_events, seed,
                                sample_each);
+        Tracer::instance().disable();
+        Tracer::instance().clear();
+    }
 
     RunState out;
     out.elapsed = kernel.elapsedCycles();
@@ -199,18 +207,33 @@ TEST_F(BatchTest, BatchedSamplerSeriesEqualsPerEvent)
 TEST_F(BatchTest, ZeroCountBatchesAreNoOps)
 {
     MachineDesc m = makeMachine(MachineId::R3000);
-    SimKernel kernel(m);
-    AddressSpace &space = kernel.createSpace("app");
-    HwCounters::instance().enable();
-    kernel.syscallBatch(0);
-    kernel.trapBatch(0);
-    kernel.otherExceptionBatch(0);
-    kernel.threadSwitchBatch(0);
-    kernel.emulateTestAndSetBatch(0);
-    kernel.emulateSingleInstructionsBatch(0);
-    kernel.pteChangeBatch(space, {}, {});
-    EXPECT_EQ(kernel.elapsedCycles(), 0u);
-    EXPECT_EQ(HwCounters::instance().snapshot().totalEvents(), 0u);
+    // Closed form, then the per-event body (tracer armed).
+    for (bool traced : {false, true}) {
+        SCOPED_TRACE(traced ? "per-event" : "closed form");
+        SimKernel kernel(m);
+        AddressSpace &space = kernel.createSpace("app");
+        HwCounters::instance().enable();
+        Profiler::instance().enable();
+        if (traced)
+            Tracer::instance().enable(16);
+        kernel.syscall(0);
+        kernel.trap(0);
+        kernel.otherException(0);
+        kernel.threadSwitch(0);
+        kernel.emulateTestAndSet(0);
+        kernel.emulateSingleInstructions(0);
+        kernel.pteChange(space, std::vector<Vpn>{}, {});
+        EXPECT_EQ(kernel.elapsedCycles(), 0u);
+        EXPECT_EQ(kernel.counts(), SimKernel::Counts{});
+        EXPECT_EQ(HwCounters::instance().snapshot().totalEvents(), 0u);
+        EXPECT_TRUE(Profiler::instance().root().children.empty());
+        if (traced) {
+            EXPECT_EQ(Tracer::instance().size(), 0u);
+        }
+        Tracer::instance().disable();
+        Tracer::instance().clear();
+        SetUp();
+    }
 }
 
 // ---- CounterSampler::tickRun ------------------------------------

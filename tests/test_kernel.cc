@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "arch/machines.hh"
 #include "counting_scope.hh"
 #include "mem/cache.hh"
@@ -263,10 +266,10 @@ TEST(SimKernel, FlushChargesMatchReferenceCache)
         EXPECT_EQ(counting.value(HwCounter::CacheFlushCycles), 0u);
         EXPECT_EQ(k.elapsedCycles() - t0, pte_cycles);
 
-        // The batched path counts the same lines per page.
+        // A page list counts the same lines per page.
         lines0 = counting.value(HwCounter::CacheFlushLines);
         t0 = k.elapsedCycles();
-        k.pteChangeBatch(a, {0x101, 0x102, 0x103}, ro);
+        k.pteChange(a, std::vector<Vpn>{0x101, 0x102, 0x103}, ro);
         EXPECT_EQ(counting.value(HwCounter::CacheFlushLines) - lines0,
                   3 * exp_page);
         EXPECT_EQ(k.elapsedCycles() - t0, 3 * pte_cycles);
@@ -460,6 +463,100 @@ TEST(SimKernel, ElapsedMicrosMatchesClock)
     EXPECT_NEAR(k.elapsedMicros(), 1.0, 1e-9);
     k.chargeMicros(9.0);
     EXPECT_NEAR(k.elapsedMicros(), 10.0, 1e-9);
+}
+
+// Every kernel event kind's records in the tracer's ring: event,
+// phase, name, cycle, duration and arg, one kind at a time.
+TEST(SimKernel, TracedRecordsPerEventKind)
+{
+    struct Want
+    {
+        TraceEvent event;
+        TracePhase phase;
+        std::string name;
+        Cycles cycle;
+        Cycles duration;
+        std::uint64_t arg;
+    };
+    for (MachineId mid : {MachineId::R3000, MachineId::SPARC}) {
+        SCOPED_TRACE(machineSlug(mid));
+        const MachineDesc m = makeMachine(mid);
+        auto cost = [&](Primitive p) {
+            return sharedCostDb().cycles(mid, p);
+        };
+        CountingScope counting;
+        Tracer::instance().enable(1 << 10);
+        SimKernel k(m);
+        AddressSpace &a = k.createSpace("a");
+        a.mapRange(0x100, 4, 0x900, {});
+        k.chargeCycles(1000);
+        // Run `event` from the kernel's clock with the trace clock
+        // caught up to it, and compare the records it adds.
+        auto check = [&](const char *kind, auto event,
+                         auto want_at) {
+            SCOPED_TRACE(kind);
+            const Cycles t = k.elapsedCycles();
+            Tracer::instance().clear();
+            Tracer::instance().setCycle(t);
+            event();
+            const std::vector<Want> want = want_at(t);
+            const auto got = Tracer::instance().snapshot();
+            ASSERT_EQ(got.size(), want.size());
+            for (std::size_t i = 0; i < got.size(); ++i) {
+                EXPECT_EQ(got[i].event, want[i].event) << i;
+                EXPECT_EQ(got[i].phase, want[i].phase) << i;
+                EXPECT_EQ(std::string(got[i].name), want[i].name) << i;
+                EXPECT_EQ(got[i].cycle, want[i].cycle) << i;
+                EXPECT_EQ(got[i].duration, want[i].duration) << i;
+                EXPECT_EQ(got[i].arg, want[i].arg) << i;
+            }
+        };
+        const Cycles sys = cost(Primitive::NullSyscall);
+        const Cycles trap = cost(Primitive::Trap);
+        const Cycles sw = cost(Primitive::ContextSwitch);
+        check("syscall", [&] { k.syscall(); }, [&](Cycles t) {
+            return std::vector<Want>{{TraceEvent::Syscall,
+                                      TracePhase::Complete, "syscall",
+                                      t, sys, 0}};
+        });
+        check("trap", [&] { k.trap(); }, [&](Cycles t) {
+            return std::vector<Want>{
+                {TraceEvent::TrapEnter, TracePhase::Begin, "trap", t, 0,
+                 0},
+                {TraceEvent::TrapExit, TracePhase::End, "trap",
+                 t + trap, 0, 0}};
+        });
+        check("exception", [&] { k.otherException(); }, [&](Cycles t) {
+            return std::vector<Want>{{TraceEvent::TrapEnter,
+                                      TracePhase::Complete, "exception",
+                                      t, trap, 0}};
+        });
+        check("thread switch", [&] { k.threadSwitch(); }, [&](Cycles t) {
+            return std::vector<Want>{{TraceEvent::ThreadSwitch,
+                                      TracePhase::Complete,
+                                      "thread_switch", t, sw, 0}};
+        });
+        check("emulate 3", [&] { k.emulateInstructions(3); },
+              [&](Cycles t) {
+                  return std::vector<Want>{{TraceEvent::EmulatedInstr,
+                                            TracePhase::Instant,
+                                            "emulate", t, 0, 3}};
+              });
+        check("test&set", [&] { k.emulateTestAndSet(); },
+              [](Cycles) { return std::vector<Want>{}; });
+        PageProt ro;
+        ro.writable = false;
+        check("pte change", [&] { k.pteChange(a, 0x100, ro); },
+              [&](Cycles t) {
+                  if (mid != MachineId::SPARC)
+                      return std::vector<Want>{};
+                  return std::vector<Want>{
+                      {TraceEvent::CacheFlush, TracePhase::Instant,
+                       "cache_flush_page", t, 0,
+                       pageBytes / m.cache.lineBytes}};
+              });
+        Tracer::instance().disable();
+    }
 }
 
 TEST(SimKernelDeathTest, SwitchToForeignSpacePanics)

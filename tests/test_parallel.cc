@@ -2,11 +2,9 @@
  * @file
  * Tests for the parallel simulation runner: thread-pool batch
  * semantics (full index coverage, index-addressed results, exception
- * propagation), the shard-merge operations every slice result flows
- * through (CounterSet, Histogram, ProfNode — sum semantics,
- * identity, associativity), and the headline determinism contract:
- * report.json, counters.json and profile.json are byte-identical
- * between --jobs 1 and --jobs N.
+ * propagation) and the headline determinism contract: report.json,
+ * counters.json and profile.json are byte-identical between --jobs 1
+ * and --jobs N.
  */
 
 #include <gtest/gtest.h>
@@ -19,11 +17,8 @@
 #include <vector>
 
 #include "arch/machines.hh"
-#include "sim/counters/counters.hh"
 #include "sim/parallel/parallel_runner.hh"
 #include "sim/parallel/thread_pool.hh"
-#include "sim/profile/histogram.hh"
-#include "sim/profile/profile.hh"
 #include "study/counters_report.hh"
 #include "study/figures.hh"
 #include "study/profile_report.hh"
@@ -148,121 +143,6 @@ TEST(ParallelRunnerTest, TaskExceptionPropagatesToCaller)
             return i;
         });
     EXPECT_THROW(runner.map<int>(tasks), std::runtime_error);
-}
-
-// --------------------------------------------------------- shard merge
-
-TEST(ShardMergeTest, CounterSetSumsEventsAndMaxesHighWater)
-{
-    CounterSet a, b;
-    a.set(HwCounter::Loads, 3);
-    b.set(HwCounter::Loads, 4);
-    a.set(HwCounter::WbOccupancyHighWater, 7);
-    b.set(HwCounter::WbOccupancyHighWater, 5);
-    a.merge(b);
-    EXPECT_EQ(a.get(HwCounter::Loads), 7u);
-    EXPECT_EQ(a.get(HwCounter::WbOccupancyHighWater), 7u);
-}
-
-TEST(ShardMergeTest, CounterSetEmptyIsIdentity)
-{
-    CounterSet a;
-    a.set(HwCounter::TlbMisses, 42);
-    a.set(HwCounter::WbOccupancyHighWater, 9);
-    CounterSet before = a;
-    a.merge(CounterSet{});
-    EXPECT_EQ(a, before);
-    CounterSet zero;
-    zero.merge(before);
-    EXPECT_EQ(zero, before);
-}
-
-TEST(ShardMergeTest, CounterSetMergeIsAssociative)
-{
-    CounterSet a, b, c;
-    a.set(HwCounter::Stores, 1);
-    b.set(HwCounter::Stores, 10);
-    c.set(HwCounter::Stores, 100);
-    a.set(HwCounter::WbOccupancyHighWater, 2);
-    b.set(HwCounter::WbOccupancyHighWater, 8);
-    c.set(HwCounter::WbOccupancyHighWater, 4);
-
-    CounterSet left = a;
-    left.merge(b);
-    left.merge(c);
-
-    CounterSet bc = b;
-    bc.merge(c);
-    CounterSet right = a;
-    right.merge(bc);
-
-    EXPECT_EQ(left, right);
-}
-
-TEST(ShardMergeTest, HistogramMergeAddsSamples)
-{
-    Histogram a, b;
-    a.sample(1);
-    a.sample(100);
-    b.sample(7);
-    b.sample(100000);
-    a.merge(b);
-    EXPECT_EQ(a.count(), 4u);
-    EXPECT_EQ(a.total(), 1u + 100u + 7u + 100000u);
-    EXPECT_EQ(a.min(), 1u);
-    EXPECT_EQ(a.max(), 100000u);
-
-    // Empty in both directions is the identity.
-    Histogram empty;
-    Histogram c = a;
-    c.merge(empty);
-    EXPECT_EQ(c.toJson().dump(), a.toJson().dump());
-    empty.merge(a);
-    EXPECT_EQ(empty.toJson().dump(), a.toJson().dump());
-}
-
-TEST(ShardMergeTest, ProfNodeMergeSumsMatchedChildren)
-{
-    ProfNode a;
-    a.name = "total";
-    a.selfCycles = 5;
-    a.entries = 1;
-    ProfNode *ak = a.child("kernel");
-    ak->selfCycles = 10;
-    ak->entries = 2;
-    ak->spans.sample(10);
-
-    ProfNode b;
-    b.name = "total";
-    b.selfCycles = 2;
-    b.entries = 1;
-    ProfNode *bk = b.child("kernel");
-    bk->selfCycles = 30;
-    bk->entries = 1;
-    bk->spans.sample(30);
-    ProfNode *bu = b.child("user");
-    bu->selfCycles = 4;
-    bu->entries = 1;
-
-    a.mergeFrom(b);
-    EXPECT_EQ(a.selfCycles, 7u);
-    EXPECT_EQ(a.entries, 2u);
-    EXPECT_EQ(a.totalCycles(), 7u + 40u + 4u);
-    const ProfNode *k = a.find("kernel");
-    ASSERT_NE(k, nullptr);
-    EXPECT_EQ(k->selfCycles, 40u);
-    EXPECT_EQ(k->entries, 3u);
-    EXPECT_EQ(k->spans.count(), 2u);
-    const ProfNode *u = a.find("user");
-    ASSERT_NE(u, nullptr);
-    EXPECT_EQ(u->selfCycles, 4u);
-
-    // Merging an empty tree changes nothing.
-    std::string before = a.toJson().dump();
-    ProfNode empty;
-    empty.name = "total";
-    a.mergeFrom(empty);
-    EXPECT_EQ(a.toJson().dump(), before);
 }
 
 // --------------------------------------------------------- determinism

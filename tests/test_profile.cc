@@ -226,43 +226,6 @@ TEST(ProfHistogram, ConstantSamplesReportExactValue)
     EXPECT_DOUBLE_EQ(h.p99(), 42.0);
 }
 
-TEST(ProfHistogram, MergedShardsReportSingleShardPercentiles)
-{
-    // Percentile stability under sharding: values straddling
-    // power-of-two bucket boundaries (2^k - 1, 2^k, 2^k + 1), dealt
-    // round-robin across N shards, must report exactly the
-    // single-histogram percentiles after the shards merge — merge()
-    // adds bucket counts and combines min/max exactly, so the
-    // percentile math sees identical state.
-    std::vector<std::uint64_t> values;
-    for (unsigned k = 1; k <= 20; ++k) {
-        std::uint64_t p = std::uint64_t{1} << k;
-        values.push_back(p - 1);
-        values.push_back(p);
-        values.push_back(p + 1);
-    }
-
-    for (std::size_t shards : {2u, 3u, 7u}) {
-        Histogram whole;
-        std::vector<Histogram> parts(shards);
-        for (std::size_t i = 0; i < values.size(); ++i) {
-            whole.sample(values[i]);
-            parts[i % shards].sample(values[i]);
-        }
-        Histogram merged;
-        for (const Histogram &part : parts)
-            merged.merge(part);
-
-        EXPECT_EQ(merged.count(), whole.count()) << shards;
-        EXPECT_EQ(merged.min(), whole.min()) << shards;
-        EXPECT_EQ(merged.max(), whole.max()) << shards;
-        for (double p : {50.0, 90.0, 99.0, 99.9})
-            EXPECT_DOUBLE_EQ(merged.percentile(p),
-                             whole.percentile(p))
-                << shards << " shards at p" << p;
-    }
-}
-
 TEST(ProfHistogram, EmptyAndReset)
 {
     Histogram h;
@@ -375,7 +338,7 @@ TEST_F(ProfilerTest, PauseStopsAttribution)
     p.enable();
     p.addCycles(5);
     {
-        ProfPause pause;
+        ObserverPause pause;
         p.addCycles(100); // helper-simulation noise
         EXPECT_FALSE(p.enabled());
     }

@@ -2,7 +2,7 @@
  * @file
  * Request-scoped span tracing: hook gating (off by default, on only
  * inside an armed request), tree building and capacity-drop
- * semantics, shard-session merge laws, spans.json determinism across
+ * semantics, the observer pause, spans.json determinism across
  * --jobs, exemplar ordering, the tail-attribution >= 80% acceptance
  * gate on every Table 1 machine x primitive pair, and the spans
  * document's round trip through the perf database.
@@ -202,49 +202,6 @@ TEST_F(SpantraceTest, OnlyASpanThatCountedHoldsACounterBlock)
               "{\"tlb_misses\":3}");
 }
 
-TEST_F(SpantraceTest, SessionMergeIsAssociativeWithIdentity)
-{
-    auto makeSession = [](const char *name, std::uint64_t id,
-                          Cycles cycles) {
-        SpanTracer &t = SpanTracer::instance();
-        t.enable(8);
-        t.beginRequest(name, id, 0);
-        t.endRequest(cycles);
-        return t.take();
-    };
-    SpanSession a = makeSession("x", 1, 10);
-    SpanSession b = makeSession("y", 2, 20);
-    SpanSession c = makeSession("x", 3, 30);
-
-    // (a + b) + c
-    SpanSession left = a;
-    left.merge(b);
-    left.merge(c);
-    // a + (b + c)
-    SpanSession bc = b;
-    bc.merge(c);
-    SpanSession right = a;
-    right.merge(bc);
-
-    ASSERT_EQ(left.requests.size(), 3u);
-    ASSERT_EQ(right.requests.size(), 3u);
-    for (std::size_t i = 0; i < 3; ++i)
-        EXPECT_EQ(left.requests[i].id, right.requests[i].id);
-    ASSERT_EQ(left.hists.size(), 2u); // "x" merged, "y" appended
-    EXPECT_EQ(left.hists[0].first, "x");
-    EXPECT_EQ(left.find("x")->count(), 2u);
-    EXPECT_EQ(left.find("x")->max(), 30u);
-
-    // Identity on both sides.
-    SpanSession empty;
-    SpanSession viaEmpty = empty;
-    viaEmpty.merge(a);
-    EXPECT_EQ(viaEmpty.requests.size(), a.requests.size());
-    SpanSession aCopy = a;
-    aCopy.merge(empty);
-    EXPECT_EQ(aCopy.requests.size(), a.requests.size());
-}
-
 TEST_F(SpantraceTest, PauseSuppressesNestedHooks)
 {
     SpanTracer &t = SpanTracer::instance();
@@ -252,7 +209,7 @@ TEST_F(SpantraceTest, PauseSuppressesNestedHooks)
     t.beginRequest("req", 0, 0);
     spanLeaf("kept", 1);
     {
-        SpanPause pause;
+        ObserverPause pause;
         EXPECT_FALSE(spantraceEnabled());
         spanLeaf("suppressed", 99);
     }

@@ -22,9 +22,9 @@
  * kernel window must reconcile (the --min-explained gate, default
  * 99.999%: the request classes use only exactly-priced primitives, so
  * anything less than 100% explained is a charging bug, not noise).
- * The kernel's batched entry points (SimKernel::*Batch) are what make
+ * SimKernel's closed-form charging of a run of n events is what makes
  * million-request sweeps affordable: each request's primitive runs
- * are charged in closed form.
+ * are charged in one update each.
  *
  * Every flag parses through sim/cli.hh, and the sweep must pass
  * trafficConfigError(); otherwise the tool prints one line and exits
