@@ -257,11 +257,13 @@ replayEventMixPerEvent(SimKernel &kernel, AddressSpace &space,
 
 /** Shared body of the kernel-window charging benchmarks: a seeded
  *  randomized stream of homogeneous event runs against one R3000
- *  kernel with counters and the profiler on — the instrumentation
- *  state a report run charges under. `batched` replays it one entry
- *  point call per run (replayEventMix), otherwise one call per event;
- *  the two produce byte-identical state, so the events/sec ratio is
- *  what charging a run in one call wins (CI gates it >= 5x). */
+ *  kernel with the counters on. `batched` replays it one entry point
+ *  call per run in closed form (replayEventMix). Otherwise it makes
+ *  one call per event with the tracer armed, so every call takes the
+ *  per-event body, as a traced run or an open span does (untraced, a
+ *  one-event call is the closed form at n = 1). The two leave
+ *  byte-identical counts and cycles, so the events/sec ratio is what
+ *  the closed form wins over the per-event body (CI gates it >= 5x). */
 void
 kernelWindowChargingBody(benchmark::State &state, bool batched)
 {
@@ -270,7 +272,8 @@ kernelWindowChargingBody(benchmark::State &state, bool batched)
     AddressSpace &space = kernel.createSpace("mix");
     space.mapRange(0x1000, 64, 0x50000, {});
     HwCounters::instance().enable();
-    Profiler::instance().enable();
+    if (!batched)
+        Tracer::instance().enable(1 << 10);
     constexpr std::uint64_t eventsPerIter = 100'000;
     std::uint64_t seed = 1;
     std::uint64_t events = 0;
@@ -280,8 +283,8 @@ kernelWindowChargingBody(benchmark::State &state, bool batched)
                           : replayEventMixPerEvent(kernel, space,
                                                    eventsPerIter,
                                                    seed++);
-    Profiler::instance().disable();
-    Profiler::instance().clear();
+    Tracer::instance().disable();
+    Tracer::instance().clear();
     HwCounters::instance().disable();
     HwCounters::instance().reset();
     state.counters["events_per_sec"] = benchmark::Counter(
@@ -330,15 +333,6 @@ BM_CopyModel(benchmark::State &state)
 }
 BENCHMARK(BM_CopyModel);
 
-/** Retire the state one buildReport run leaves in the calling thread:
- *  the profiler's tree grows per run, so without this each iteration
- *  measures a bigger heap than the last. Called with timing paused. */
-void
-resetReportState()
-{
-    Profiler::instance().clear();
-}
-
 void
 BM_ReportFull(benchmark::State &state)
 {
@@ -348,9 +342,6 @@ BM_ReportFull(benchmark::State &state)
         ParallelRunner serial(1);
         Json report = buildReport(serial);
         benchmark::DoNotOptimize(report.size());
-        state.PauseTiming();
-        resetReportState();
-        state.ResumeTiming();
     }
 }
 BENCHMARK(BM_ReportFull)->Unit(benchmark::kMillisecond)->UseRealTime();
@@ -366,9 +357,6 @@ BM_ReportParallel(benchmark::State &state)
             static_cast<unsigned>(state.range(0)));
         Json report = buildReport(runner);
         benchmark::DoNotOptimize(report.size());
-        state.PauseTiming();
-        resetReportState();
-        state.ResumeTiming();
     }
 }
 BENCHMARK(BM_ReportParallel)
@@ -386,9 +374,7 @@ BM_DashboardRender(benchmark::State &state)
     // tracks HTML/SVG generation, not simulation.
     static const Json report = [] {
         ParallelRunner serial(1);
-        Json doc = buildReport(serial);
-        resetReportState();
-        return doc;
+        return buildReport(serial);
     }();
     static const Json traffic = [] {
         TrafficConfig cfg;

@@ -10,6 +10,11 @@
 namespace aosd
 {
 
+namespace
+{
+
+/** Attribute a breakdown's cycles to cause-named leaf children of the
+ *  profiler's current scope ("base", "write_buffer_stall", ...). */
 void
 profileBreakdown(const CycleBreakdown &bd)
 {
@@ -32,27 +37,7 @@ profileBreakdown(const CycleBreakdown &bd)
     add("fpu_sync", bd.fpuSync);
 }
 
-void
-profileBreakdownRepeated(const CycleBreakdown &bd, std::uint64_t k)
-{
-    if (!profilerEnabled() || k == 0)
-        return;
-    Profiler &p = Profiler::instance();
-    auto add = [&](const char *cause, Cycles c) {
-        if (c)
-            p.addLeafCyclesRepeated(cause, c, k);
-    };
-    add("base", bd.base);
-    add("write_buffer_stall", bd.writeBufferStall);
-    add("cache_miss_stall", bd.cacheMissStall);
-    add("uncached", bd.uncached);
-    add("ctrl_reg", bd.ctrlReg);
-    add("microcode", bd.microcode);
-    add("tlb_ops", bd.tlbOps);
-    add("cache_maintenance", bd.cacheMaintenance);
-    add("trap_hardware", bd.trapHardware);
-    add("fpu_sync", bd.fpuSync);
-}
+} // namespace
 
 CycleBreakdown &
 CycleBreakdown::operator+=(const CycleBreakdown &o)

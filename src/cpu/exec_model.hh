@@ -48,26 +48,6 @@ struct CycleBreakdown
     CycleBreakdown &operator+=(const CycleBreakdown &o);
 };
 
-/**
- * Attribute a breakdown's cycles to cause-named leaf children of the
- * profiler's current scope ("base", "write_buffer_stall",
- * "cache_miss_stall", ...). No-op when profiling is disabled. The
- * execution model calls this once per stream; the kernel reuses it to
- * attribute cached primitive costs phase by phase.
- */
-void profileBreakdown(const CycleBreakdown &bd);
-
-/**
- * Batched profileBreakdown: attribute `k` repetitions of a breakdown
- * in one closed-form update per cause — byte-identical to calling
- * profileBreakdown(bd) k times (same leaf creation order, entry
- * counts and histogram contents). The kernel's batch charger uses
- * this to replay a cached phase's attribution for a whole run of
- * homogeneous events.
- */
-void profileBreakdownRepeated(const CycleBreakdown &bd,
-                              std::uint64_t k);
-
 /** Result of executing one phase. */
 struct PhaseResult
 {

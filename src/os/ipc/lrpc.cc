@@ -4,7 +4,6 @@
 #include "mem/cache.hh"
 #include "sim/counters/counters.hh"
 #include "sim/observers.hh"
-#include "sim/profile/profile.hh"
 #include "sim/spantrace/spantrace.hh"
 #include "sim/trace.hh"
 
@@ -23,8 +22,7 @@ simulateTlbMisses(const MachineDesc &desc, const LrpcConfig &cfg,
                   unsigned round_trips)
 {
     // A helper simulation inside an analytic model: its charges must
-    // not leak into the caller's attribution tree or nest phantom
-    // spans into an open request.
+    // not nest phantom spans into an open request.
     ObserverPause pause;
     SimKernel kernel(desc);
     AddressSpace &client = kernel.createSpace("client");
@@ -97,20 +95,8 @@ LrpcModel::nullCall() const
         return desc.clock.microsToCycles(micros);
     };
 
-    // Attribute the components to the profiler tree, mirroring the
-    // breakdown Table 4 reports.
-    Profiler &prof = Profiler::instance();
-    if (prof.enabled()) {
-        ProfScope scope("lrpc");
-        prof.addLeafCycles("stubs", cyc(b.stubUs));
-        prof.addLeafCycles("kernel_entry", cyc(b.kernelEntryUs));
-        prof.addLeafCycles("validation", cyc(b.validationUs));
-        prof.addLeafCycles("context_switch", cyc(b.contextSwitchUs));
-        prof.addLeafCycles("tlb_refill", cyc(b.tlbMissUs));
-        prof.addLeafCycles("arg_copy", cyc(b.argCopyUs));
-    }
-
-    // Same components as one span group for an open traced request.
+    // The components, mirroring the breakdown Table 4 reports, as one
+    // span group for an open traced request.
     if (spantraceEnabled()) {
         SpanGroup span("lrpc");
         spanLeaf("stubs", cyc(b.stubUs));

@@ -3,7 +3,6 @@
 #include "mem/cache.hh"
 #include "os/ipc/message.hh"
 #include "sim/logging.hh"
-#include "sim/profile/profile.hh"
 
 namespace aosd
 {
@@ -21,14 +20,6 @@ struct RpcSimulation::Node
     {
         kernel.chargeCycles(c);
         return kernel.machine().clock.cyclesToMicros(c);
-    }
-
-    /** Charge cycles attributed to a named profiler leaf. */
-    double
-    charge(const char *leaf, Cycles c)
-    {
-        ProfScope scope(leaf);
-        return charge(c);
     }
 
     /** Counted primitives (SimKernel charges internally); returns
@@ -95,23 +86,21 @@ RpcSimulation::run(std::uint64_t calls, std::uint32_t arg_bytes,
 
     // Server: request arrives -> receive, service, reply.
     server_id = net.addNode([&](const Packet &) {
-        ProfScope prof("rpc_server");
         double us = 0;
         us += server.trap(); // receive interrupt
-        us += server.charge("interrupt", interrupt_body);
-        us += server.charge("checksum", checksumCycles(desc, call_pkt));
-        us += server.charge("copy", copyCycles(desc, arg_bytes));
+        us += server.charge(interrupt_body);
+        us += server.charge(checksumCycles(desc, call_pkt));
+        us += server.charge(copyCycles(desc, arg_bytes));
         us += server.threadSwitch(); // wake the server thread
-        us += server.charge("dispatch", cfg.dispatchInstructions);
+        us += server.charge(cfg.dispatchInstructions);
         us += server.syscall(); // return from receive
-        us += server.charge("stub", cfg.serverStubInstructions);
-        us += server.charge("copy", copyCycles(desc, result_bytes));
-        us +=
-            server.charge("checksum", checksumCycles(desc, reply_pkt));
+        us += server.charge(cfg.serverStubInstructions);
+        us += server.charge(copyCycles(desc, result_bytes));
+        us += server.charge(checksumCycles(desc, reply_pkt));
         us += server.syscall(); // send the reply
         us += server.threadSwitch(); // block for the next request
         us += server.trap(); // transmit-done interrupt
-        us += server.charge("interrupt", interrupt_body / 2);
+        us += server.charge(interrupt_body / 2);
         after(us, [&net, server_id, client_id, reply_pkt] {
             net.send(server_id, client_id, reply_pkt);
         });
@@ -119,13 +108,11 @@ RpcSimulation::run(std::uint64_t calls, std::uint32_t arg_bytes,
 
     // Client: reply arrives -> unpack, complete, maybe start again.
     client_id = net.addNode([&](const Packet &) {
-        ProfScope prof("rpc_client");
         double us = 0;
         us += client.trap(); // receive interrupt
-        us += client.charge("interrupt", interrupt_body);
-        us +=
-            client.charge("checksum", checksumCycles(desc, reply_pkt));
-        us += client.charge("copy", copyCycles(desc, result_bytes));
+        us += client.charge(interrupt_body);
+        us += client.charge(checksumCycles(desc, reply_pkt));
+        us += client.charge(copyCycles(desc, result_bytes));
         us += client.threadSwitch(); // resume the caller
         us += client.syscall();      // return from receive
         after(us, [&] {
@@ -136,15 +123,14 @@ RpcSimulation::run(std::uint64_t calls, std::uint32_t arg_bytes,
     });
 
     start_call = [&] {
-        ProfScope prof("rpc_client");
         double us = 0;
-        us += client.charge("stub", cfg.clientStubInstructions);
-        us += client.charge("copy", copyCycles(desc, arg_bytes));
-        us += client.charge("checksum", checksumCycles(desc, call_pkt));
+        us += client.charge(cfg.clientStubInstructions);
+        us += client.charge(copyCycles(desc, arg_bytes));
+        us += client.charge(checksumCycles(desc, call_pkt));
         us += client.syscall();      // send
         us += client.threadSwitch(); // block awaiting the reply
         us += client.trap();         // transmit-done interrupt
-        us += client.charge("interrupt", interrupt_body / 2);
+        us += client.charge(interrupt_body / 2);
         after(us, [&net, client_id, server_id, call_pkt] {
             net.send(client_id, server_id, call_pkt);
         });

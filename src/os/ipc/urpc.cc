@@ -3,7 +3,6 @@
 #include "cpu/primitive_costs.hh"
 #include "mem/cache.hh"
 #include "sim/counters/counters.hh"
-#include "sim/profile/profile.hh"
 #include "sim/spantrace/spantrace.hh"
 
 namespace aosd
@@ -45,19 +44,7 @@ UrpcModel::nullCall() const
         us(realloc) / std::max<std::uint32_t>(cfg.callsPerReallocation,
                                               1);
 
-    Profiler &prof = Profiler::instance();
-    if (prof.enabled()) {
-        auto cyc = [&](double micros) {
-            return desc.clock.microsToCycles(micros);
-        };
-        ProfScope scope("urpc");
-        prof.addLeafCycles("locks", cyc(b.lockUs));
-        prof.addLeafCycles("copy", cyc(b.copyUs));
-        prof.addLeafCycles("thread_switch", cyc(b.threadSwitchUs));
-        prof.addLeafCycles("reallocation", cyc(b.reallocationUs));
-    }
-
-    // Same components as one span group for an open traced request.
+    // The components as one span group for an open traced request.
     if (spantraceEnabled()) {
         auto cyc = [&](double micros) {
             return desc.clock.microsToCycles(micros);

@@ -31,8 +31,8 @@ namespace
 
 /**
  * What one event of a kind charges, counts and records. A priced event
- * (no `fixed`) opens a profiler scope and span `name` and charges
- * `prim`'s cached handler; a fixed-cost event is one leaf `name` of
+ * (no `fixed`) opens a span `name` and charges `prim`'s cached
+ * handler; a fixed-cost event is one span leaf `name` of
  * fixed(machine) cycles. Its trace records: one Complete, a Begin and
  * an End (`endEvent`), one Instant (arg: instructions), or none (Mark).
  */
@@ -144,8 +144,6 @@ SimKernel::chargeLeaf(const char *leaf, Cycles c)
 {
     cycleCount += c;
     primCycles += c;
-    if (profilerEnabled())
-        Profiler::instance().addLeafCycles(leaf, c);
     spanLeaf(leaf, c);
 }
 
@@ -157,17 +155,18 @@ SimKernel::chargeEvent(KernelEvent kind, std::uint64_t width,
     const EventRow &r = eventRows[static_cast<std::size_t>(kind)];
     // The span opens before the counters move, so its counter delta
     // holds this event's bumps.
-    std::optional<ProfScope> prof;
     std::optional<SpanScope> span;
-    if (!r.fixed) {
-        prof.emplace(r.name);
+    if (!r.fixed)
         span.emplace(r.name, cycleCount);
-    }
     tally.*r.count += width;
     countEvent(r.counter, width);
     if (r.alsoCounter != HwCounter::NumCounters)
         countEvent(r.alsoCounter, width);
     const Cycles start = cycleCount;
+    // A record the edit emits (a PTE change's cache_flush_page) is
+    // stamped at the event's start.
+    if (tracerEnabled())
+        Tracer::instance().setCycle(start);
     const bool tracing = tracerEnabled() && r.traceEvent != TraceEvent::Mark;
     const TracePhase phase = r.tracePhase;
     const char *trace_name = r.traceName ? r.traceName : r.name;
@@ -178,16 +177,11 @@ SimKernel::chargeEvent(KernelEvent kind, std::uint64_t width,
     if (r.fixed) {
         chargeLeaf(r.name, width * r.fixed(desc));
     } else {
-        // Attribute the cached handler phase by phase, so a kernel-level
-        // profile bottoms out in the hardware causes (trap_hardware,
-        // write_buffer_stall, ...) the exec model charged, and an open
-        // request gets the span leaves ExecModel::run would emit.
+        // An open request gets the cached handler's span leaves phase
+        // by phase, as ExecModel::run would emit them.
         const PrimitiveCost &pc = *primCost[static_cast<std::size_t>(r.prim)];
-        for (const PhaseResult &ph : pc.detail.phases) {
-            ProfScope scope(phaseSlug(ph.kind));
-            profileBreakdown(ph.breakdown);
+        for (const PhaseResult &ph : pc.detail.phases)
             spanLeaf(phaseSlug(ph.kind), ph.cycles);
-        }
         cycleCount += pc.cycles;
         primCycles += pc.cycles;
     }
@@ -225,32 +219,10 @@ SimKernel::chargeEvents(KernelEvent kind, std::uint64_t n,
     countEvent(r.counter, n);
     if (r.alsoCounter != HwCounter::NumCounters)
         countEvent(r.alsoCounter, n);
-    if (profilerEnabled()) {
-        Profiler &prof = Profiler::instance();
-        if (r.fixed) {
-            prof.addLeafCyclesRepeated(r.name, each, n);
-        } else {
-            // The scope and each phase entered n times, every cause
-            // leaf charged its per-event constant × n and every
-            // histogram fed n copies: the per-event bodies' nodes, in
-            // their creation order.
-            ProfNode *outer = prof.pushRepeated(r.name, n);
-            Cycles outer_each = 0;
-            for (const PhaseResult &ph : pc.detail.phases) {
-                ProfNode *pn = prof.pushRepeated(phaseSlug(ph.kind), n);
-                profileBreakdownRepeated(ph.breakdown, n);
-                Cycles phase_each = ph.breakdown.total();
-                prof.popRepeated(pn, phase_each, n);
-                outer_each += phase_each;
-            }
-            prof.popRepeated(outer, outer_each, n);
-        }
-    }
     cycleCount += each * n;
     primCycles += each * n;
-    // The edits charge no cycles and attribute nothing, so running
-    // them after the aggregate charge leaves every total as the
-    // per-event bodies leave it.
+    // The edits charge no cycles, so running them after the aggregate
+    // charge leaves every total as the per-event bodies leave it.
     for (std::uint64_t i = 0; i < n; ++i)
         edit(i);
     if (sample_each) {
@@ -364,31 +336,26 @@ SimKernel::touchPages(const std::vector<Vpn> &pages, bool kernel_space)
 {
     AddressSpace &space =
         kernel_space ? kernelSpace() : currentSpace();
-    ProfScope prof("tlb_refill");
     const Cycles span_start = cycleCount;
     const bool tracing = tracerEnabled();
-    const bool profiling = profilerEnabled();
     if (tracing)
         Tracer::instance().setCycle(cycleCount);
     const Asid asid = space.asid();
     // A miss's refill cycles land before its fill, so a traced
     // tlb_fill carries the cycle after the refill.
-    auto charge = [&](Cycles c, const char *leaf, std::uint64_t &misses) {
+    auto charge = [&](Cycles c, std::uint64_t &misses) {
         cycleCount += c;
         primCycles += c;
-        if (profiling)
-            Profiler::instance().addLeafCycles(leaf, c);
         if (tracing)
             Tracer::instance().setCycle(cycleCount);
         ++misses;
     };
     std::uint64_t &miss_count =
         kernel_space ? tally.kernelTlbMisses : tally.userTlbMisses;
-    const char *miss_leaf = kernel_space ? "miss_kernel" : "miss_user";
     for (Vpn vpn : pages) {
         const bool hit =
             tlbModel.touch(vpn, asid, kernel_space, [&](Cycles c) {
-                charge(c, miss_leaf, miss_count);
+                charge(c, miss_count);
                 const Pte *walked = space.translate(vpn);
                 return walked ? TlbFill{walked->pfn, walked->prot}
                               : TlbFill{vpn, {}};
@@ -404,7 +371,7 @@ SimKernel::touchPages(const std::vector<Vpn> &pages, bool kernel_space)
         // entries.
         const Vpn table_page = 0x800 + asid + ((vpn >> 10) % 2);
         tlbModel.touch(table_page, 0, true, [&](Cycles c) {
-            charge(c, "miss_page_table", tally.kernelTlbMisses);
+            charge(c, tally.kernelTlbMisses);
             return TlbFill{table_page, {}};
         });
     }
@@ -420,10 +387,7 @@ SimKernel::runUserCode(std::uint64_t instructions)
     // instruction per ~1.4 cycles.
     double cpi = 1.4 / desc.appPerfVsCvax *
                  (desc.clock.mhz() / 11.1);
-    auto c = static_cast<Cycles>(instructions * cpi + 0.5);
-    cycleCount += c;
-    if (profilerEnabled())
-        Profiler::instance().addLeafCycles("user_code", c);
+    cycleCount += static_cast<Cycles>(instructions * cpi + 0.5);
 }
 
 } // namespace aosd

@@ -27,7 +27,6 @@
 #include "os/kernel/address_space.hh"
 #include "sim/counters/reconcile.hh"
 #include "sim/observers.hh"
-#include "sim/profile/profile.hh"
 
 namespace aosd
 {
@@ -71,10 +70,12 @@ enum class KernelEvent : std::uint8_t
  * Each KernelEvent is one row of kernel.cc's event table (name, price,
  * counters, Counts field, trace records). An entry point charges `n`
  * events of its kind in closed form while batchActive() (per-event
- * constants × n, the Profiler's *Repeated updates,
- * CounterSampler::tickRun), else through the per-event body n times;
- * both leave byte-identical documents. `sample_each` adds the drivers'
- * CounterSampler::tick(elapsedCycles(), primitiveCycles()) per event.
+ * constants × n, CounterSampler::tickRun), else through the per-event
+ * body n times; both leave byte-identical documents. `sample_each`
+ * adds the drivers' CounterSampler::tick(elapsedCycles(),
+ * primitiveCycles()) per event. The kernel feeds the counters, the
+ * sampler, the tracer and open spans, never the attribution profiler:
+ * that watches handler execution only (sim/profile/profile.hh).
  */
 class SimKernel
 {
@@ -130,7 +131,7 @@ class SimKernel
     void emulateTestAndSet(std::uint64_t n = 1, bool sample_each = false);
 
     /** `n` separate one-instruction emulations: one attribution event
-     *  (profiler leaf sample, trace record) each. */
+     *  (span leaf, trace record) each. */
     void emulateSingleInstructions(std::uint64_t n, bool sample_each = false);
 
     /** One emulation episode: the kernel emulates `n` instructions on
@@ -183,15 +184,8 @@ class SimKernel
     void touchWorkingSet() { touchPages(currentSpace().workingSet(), false); }
 
     // ---- direct charging ------------------------------------------
-    /** Spend user/kernel computation time without counting anything.
-     *  The cycles are attributed to the profiler's current scope. */
-    void
-    chargeCycles(Cycles c)
-    {
-        cycleCount += c;
-        if (profilerEnabled())
-            Profiler::instance().addCycles(c);
-    }
+    /** Spend user/kernel computation time without counting anything. */
+    void chargeCycles(Cycles c) { cycleCount += c; }
     void
     chargeMicros(double us)
     {
@@ -227,7 +221,7 @@ class SimKernel
     }
 
   private:
-    /** Charge `c` primitive cycles to a profiler and span leaf. */
+    /** Charge `c` primitive cycles to a span leaf. */
     void chargeLeaf(const char *leaf, Cycles c);
     /** Charge `n` events of `kind` (see the class comment); `edit(i)`
      *  applies event i's state change. Forced inline: a traffic sweep

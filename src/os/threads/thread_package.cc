@@ -1,7 +1,6 @@
 #include "os/threads/thread_package.hh"
 
 #include "sim/logging.hh"
-#include "sim/profile/profile.hh"
 
 namespace aosd
 {
@@ -28,7 +27,6 @@ ThreadPackage::create(std::vector<WorkSlice> slices)
                    ? costModel.userThreadCreate
                    : costModel.kernelThreadCreate;
     cycleCount += c;
-    Profiler::instance().addLeafCycles("thread_create", c);
     return threads.back().id;
 }
 
@@ -40,13 +38,11 @@ ThreadPackage::chargeSwitch()
                    ? costModel.userThreadSwitch
                    : costModel.kernelThreadSwitch;
     cycleCount += c;
-    Profiler::instance().addLeafCycles("thread_switch", c);
 }
 
 void
 ThreadPackage::runToCompletion()
 {
-    ProfScope prof("threads");
     while (!runQueue.empty()) {
         ThreadId id = runQueue.front();
         runQueue.pop_front();
@@ -75,19 +71,14 @@ ThreadPackage::runToCompletion()
                 // the holder has run.
                 ++tally.lockContended;
                 cycleCount += lockCost / 2;
-                Profiler::instance().addLeafCycles("lock_contended",
-                                                   lockCost / 2);
                 runQueue.push_back(id);
                 continue;
             }
             ++tally.lockAcquires;
             cycleCount += lockCost;
-            Profiler::instance().addLeafCycles("lock_acquire",
-                                               lockCost);
         }
 
         cycleCount += slice.work;
-        Profiler::instance().addLeafCycles("thread_work", slice.work);
         ++tally.slices;
         if (slice.lockId >= 0) {
             if (slice.holdAcrossYield && t.next + 1 < t.slices.size())

@@ -65,9 +65,9 @@ setObserving(std::uint8_t bits, bool on)
  * RAII pause of the profiler and the span tracer: helper simulations
  * inside analytic models (the LRPC steady-state TLB warm-up, the cost
  * database's handler runs) run under one of these so their charges
- * neither land in the caller's attribution tree nor nest phantom spans
- * into an open request. The destructor restores both bits as they
- * were.
+ * nest no phantom spans into an open request, and the handler runs do
+ * not land in the caller's attribution tree. The destructor restores
+ * both bits as they were.
  */
 class ObserverPause
 {

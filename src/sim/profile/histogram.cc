@@ -22,22 +22,6 @@ Histogram::bucketUpperBound(std::size_t i)
 }
 
 void
-Histogram::sampleN(std::uint64_t v, std::uint64_t k)
-{
-    if (k == 0)
-        return;
-    if (n == 0) {
-        lo = hi = v;
-    } else {
-        lo = std::min(lo, v);
-        hi = std::max(hi, v);
-    }
-    counts[bucketIndex(v)] += k;
-    n += k;
-    sum += v * k;
-}
-
-void
 Histogram::reset()
 {
     counts.fill(0);

@@ -63,11 +63,6 @@ class Histogram
         sum += v;
     }
 
-    /** Fold `k` identical samples of `v` in one update — exactly
-     *  equivalent to calling sample(v) k times (the batch charger's
-     *  closed-form histogram path). k == 0 is a no-op. */
-    void sampleN(std::uint64_t v, std::uint64_t k);
-
     void reset();
 
     std::uint64_t count() const { return n; }

@@ -93,38 +93,6 @@ Profiler::addLeafCycles(const char *leaf, Cycles c)
     attributed += c;
 }
 
-void
-Profiler::addLeafCyclesRepeated(const char *leaf, Cycles each,
-                                std::uint64_t k)
-{
-    if (!profilerEnabled() || k == 0)
-        return;
-    ProfNode *node = cur->child(leaf);
-    node->selfCycles += each * k;
-    node->entries += k;
-    node->spans.sampleN(each, k);
-    attributed += each * k;
-}
-
-ProfNode *
-Profiler::pushRepeated(const char *name, std::uint64_t k)
-{
-    if (!profilerEnabled())
-        return nullptr;
-    cur = cur->child(name);
-    cur->entries += k;
-    return cur;
-}
-
-void
-Profiler::popRepeated(ProfNode *node, Cycles each, std::uint64_t k)
-{
-    if (!node)
-        return;
-    node->spans.sampleN(each, k);
-    cur = node->parent ? node->parent : &rootNode;
-}
-
 const ProfNode *
 Profiler::node(const std::vector<std::string> &path) const
 {

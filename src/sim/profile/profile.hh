@@ -11,10 +11,16 @@
  * every simulated cycle charged while profiling is attributed to
  * exactly one node of that tree.
  *
+ * The one component that attributes is handler execution:
+ * ExecModel::run opens a scope per phase and charges each stream's
+ * cause leaves. profilePrimitive() (cpu/profiled_primitives.hh) drives
+ * it for profile.json, Table 5 and the folded stacks; kernel, thread
+ * and IPC charging attribute nothing.
+ *
  * Invariant: attributedCycles() == sumOfLeaves() == the cycles the
- * instrumented components charged while the profiler was enabled.
- * tools/aosd_profile asserts this per machine × primitive, so "where
- * did the cycles go" always sums to "how long did it take".
+ * handlers charged while the profiler was enabled. tools/aosd_profile
+ * asserts this per machine × primitive, so "where did the cycles go"
+ * always sums to "how long did it take".
  *
  * Profiling is off by default; a disabled ProfScope costs one test of
  * the observer mask (sim/observers.hh). The hooks are always compiled
@@ -98,9 +104,6 @@ class Profiler
     /** Stop attributing; the tree remains readable. */
     void disable() { setObserving(observeProfile, false); }
 
-    /** Continue attributing into the existing tree (after disable()). */
-    void resume() { setObserving(observeProfile, true); }
-
     bool enabled() const { return profilerEnabled(); }
 
     /** Drop the tree (enablement unchanged). */
@@ -121,22 +124,6 @@ class Profiler
      *  creating it on first use. Counts one attribution event and
      *  samples the leaf's histogram with `c`. */
     void addLeafCycles(const char *leaf, Cycles c);
-
-    /** Batched addLeafCycles: `k` attribution events of `each` cycles
-     *  to a named leaf child of the current scope, in one closed-form
-     *  update — byte-identical to k addLeafCycles(leaf, each) calls. */
-    void addLeafCyclesRepeated(const char *leaf, Cycles each,
-                               std::uint64_t k);
-
-    /** Batched scope entry: descend into `name` as if `k` identical
-     *  scopes opened back to back (entries += k). Pair with
-     *  popRepeated(). Returns nullptr when profiling is off. */
-    ProfNode *pushRepeated(const char *name, std::uint64_t k);
-
-    /** Batched scope exit for pushRepeated(): sample `k` spans of
-     *  `each` inclusive cycles and return to the parent. No-op when
-     *  `node` is nullptr. */
-    void popRepeated(ProfNode *node, Cycles each, std::uint64_t k);
 
     /** Every cycle attributed since enable(). */
     Cycles attributedCycles() const { return attributed; }

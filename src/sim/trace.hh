@@ -122,7 +122,8 @@ class Tracer
     bool enabled() const { return tracerEnabled(); }
 
     /** Advance the trace clock; records without an explicit cycle are
-     *  stamped with the latest value. Never moves backwards. */
+     *  stamped with the latest value. Between enable()/clear() calls,
+     *  which rewind it to 0, the clock never moves backwards. */
     void
     setCycle(Cycles c)
     {
@@ -207,7 +208,8 @@ class Tracer
     /** Copy out the surviving records, oldest first. */
     std::vector<TraceRecord> snapshot() const;
 
-    /** Drop all records (capacity and enablement unchanged). */
+    /** Start a fresh session: drop all records and rewind the clock
+     *  to 0 (capacity and enablement unchanged). */
     void clear();
 
     // ---- export ---------------------------------------------------

@@ -75,13 +75,6 @@ table1Figures(ParallelRunner & /* cells are cheap db reads */)
 }
 
 std::vector<Figure>
-table2Figures()
-{
-    ParallelRunner serial(1);
-    return table2Figures(serial);
-}
-
-std::vector<Figure>
 table2Figures(ParallelRunner & /* cells are cheap db reads */)
 {
     const MachineId machines[] = {MachineId::CVAX, MachineId::M88000,
@@ -104,13 +97,6 @@ table2Figures(ParallelRunner & /* cells are cheap db reads */)
         }
     }
     return out;
-}
-
-std::vector<Figure>
-table3Figures()
-{
-    ParallelRunner serial(1);
-    return table3Figures(serial);
 }
 
 std::vector<Figure>
@@ -142,13 +128,6 @@ table3Figures(ParallelRunner & /* cells are cheap db reads */)
     out.push_back(fig("table3", "wire_share_1500b.CVAX", "percent",
                       large.percent(large.wireUs), 50.0));
     return out;
-}
-
-std::vector<Figure>
-table4Figures()
-{
-    ParallelRunner serial(1);
-    return table4Figures(serial);
 }
 
 std::vector<Figure>
@@ -201,13 +180,6 @@ table4Figures(ParallelRunner &runner)
 }
 
 std::vector<Figure>
-table5Figures()
-{
-    ParallelRunner serial(1);
-    return table5Figures(serial);
-}
-
-std::vector<Figure>
 table5Figures(ParallelRunner &runner)
 {
     // The paper decomposes CVAX, R2000 and SPARC; the other Table 1
@@ -241,13 +213,6 @@ table5Figures(ParallelRunner &runner)
                           paper < 0 ? std::nan("") : paper));
     }
     return out;
-}
-
-std::vector<Figure>
-table6Figures()
-{
-    ParallelRunner serial(1);
-    return table6Figures(serial);
 }
 
 std::vector<Figure>
@@ -349,13 +314,6 @@ kernelWindowGrid(ParallelRunner &runner)
 } // namespace
 
 std::vector<Figure>
-table7Figures()
-{
-    ParallelRunner serial(1);
-    return table7Figures(serial);
-}
-
-std::vector<Figure>
 table7Figures(ParallelRunner &runner)
 {
     return table7Figures(Study::machStudy(MachineId::R3000, runner));
@@ -368,13 +326,6 @@ table7Figures(const std::vector<Table7Row> &grid)
     for (const Table7Row &r : grid)
         table7RowFigures(out, r);
     return out;
-}
-
-std::vector<Figure>
-headlineFigures()
-{
-    ParallelRunner serial(1);
-    return headlineFigures(serial);
 }
 
 std::vector<Figure>
@@ -466,13 +417,6 @@ headlineFigures(const std::vector<Table7Row> &grid)
 }
 
 std::vector<Figure>
-countersFigures()
-{
-    ParallelRunner serial(1);
-    return countersFigures(serial);
-}
-
-std::vector<Figure>
 countersFigures(ParallelRunner &runner)
 {
     // One counted session per (machine, primitive) cell; each cell
@@ -500,13 +444,6 @@ countersFigures(ParallelRunner &runner)
 }
 
 std::vector<Figure>
-kernelWindowFigures()
-{
-    ParallelRunner serial(1);
-    return kernelWindowFigures(serial);
-}
-
-std::vector<Figure>
 kernelWindowFigures(ParallelRunner &runner)
 {
     return kernelWindowFigures(kernelWindowGrid(runner));
@@ -526,13 +463,6 @@ kernelWindowFigures(const std::vector<Table7Row> &grid)
                           "percent", r.kernelWindow.explainedPct()));
     }
     return out;
-}
-
-std::vector<Figure>
-calibrationFigures()
-{
-    ParallelRunner serial(1);
-    return calibrationFigures(serial);
 }
 
 namespace

@@ -11,14 +11,6 @@ namespace aosd
 
 std::vector<ProfiledPrimitiveRun>
 profileAllPrimitives(const std::vector<MachineDesc> &machines,
-                     unsigned reps)
-{
-    ParallelRunner serial(1);
-    return profileAllPrimitives(machines, reps, serial);
-}
-
-std::vector<ProfiledPrimitiveRun>
-profileAllPrimitives(const std::vector<MachineDesc> &machines,
                      unsigned reps, ParallelRunner &runner)
 {
     std::vector<std::function<ProfiledPrimitiveRun()>> tasks;

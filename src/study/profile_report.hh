@@ -27,13 +27,8 @@ namespace aosd
 class ParallelRunner;
 
 /** All profiled runs for `machines` (every primitive, `reps` each),
- *  machine-major in `machines` order. */
-std::vector<ProfiledPrimitiveRun>
-profileAllPrimitives(const std::vector<MachineDesc> &machines,
-                     unsigned reps);
-
-/** The same grid with one (machine, primitive) session per runner
- *  job; runs come back machine-major as always (task-index merge). */
+ *  one (machine, primitive) session per runner job; runs come back
+ *  machine-major in `machines` order (task-index merge). */
 std::vector<ProfiledPrimitiveRun>
 profileAllPrimitives(const std::vector<MachineDesc> &machines,
                      unsigned reps, ParallelRunner &runner);

@@ -183,8 +183,8 @@ MachSystem::run(const AppProfile &app)
         if (needs_tas_emulation)
             kernel.emulateTestAndSet(locks_n);
         else if (locks_n)
-            // addCycles has no per-event observable (no entry count,
-            // no histogram), so one aggregate charge is exact.
+            // chargeCycles only advances the clock, so one
+            // aggregate charge is exact.
             kernel.chargeCycles(locks_n * atomic_lock_cost);
 
         sampler.tick(kernel.elapsedCycles(),

@@ -7,6 +7,7 @@
 #include <functional>
 
 #include "sim/counters/counters.hh"
+#include "sim/profile/histogram.hh"
 #include "sim/random.hh"
 
 namespace aosd

@@ -4,7 +4,7 @@
  * events: the central equivalence property — a run charged in closed
  * form leaves *exactly* the state of the same events charged one at a
  * time by the per-event body (cycles, every hardware counter, kernel
- * counts, the profiler tree, the sampler series) on every Table 1
+ * counts, the sampler series) on every Table 1
  * machine, under randomized event mixes — and the
  * CounterSampler::tickRun multi-interval regression (a run spanning
  * several sample intervals emits one sample per boundary crossed,
@@ -19,7 +19,6 @@
 #include "arch/machines.hh"
 #include "os/kernel/kernel.hh"
 #include "sim/counters/counters.hh"
-#include "sim/profile/profile.hh"
 #include "sim/random.hh"
 #include "sim/sampling/sampler.hh"
 #include "sim/trace.hh"
@@ -39,8 +38,6 @@ class BatchTest : public ::testing::Test
     {
         HwCounters::instance().disable();
         HwCounters::instance().reset();
-        Profiler::instance().disable();
-        Profiler::instance().clear();
     }
 
     void
@@ -59,16 +56,8 @@ struct RunState
     CounterSet counters;
     SimKernel::Counts kernelCounts;
     std::string series;
-    std::string profile;
 
-    bool
-    operator==(const RunState &o) const
-    {
-        return elapsed == o.elapsed && primitive == o.primitive &&
-               counters == o.counters &&
-               kernelCounts == o.kernelCounts && series == o.series &&
-               profile == o.profile;
-    }
+    bool operator==(const RunState &) const = default;
 };
 
 /** The per-event reference for replayEventMix: the same seeded runs
@@ -127,7 +116,6 @@ runMix(MachineId mid, bool batched, std::uint64_t total_events,
     AddressSpace &space = kernel.createSpace("mix");
     space.mapRange(0x1000, 64, 0x50000, {});
     HwCounters::instance().enable();
-    Profiler::instance().enable();
     if (sample_each)
         CounterSampler::instance().begin({10'000, 4096});
 
@@ -149,15 +137,12 @@ runMix(MachineId mid, bool batched, std::uint64_t total_events,
     out.primitive = kernel.primitiveCycles();
     out.counters = HwCounters::instance().snapshot();
     out.kernelCounts = kernel.counts();
-    out.profile = Profiler::instance().toJson().dump();
     if (sample_each) {
         CounterSampler::instance().finish(
             kernel.elapsedCycles(),
             static_cast<double>(kernel.primitiveCycles()));
         out.series = CounterSampler::instance().series().toJson().dump();
     }
-    Profiler::instance().disable();
-    Profiler::instance().clear();
     HwCounters::instance().disable();
     HwCounters::instance().reset();
     return out;
@@ -178,8 +163,7 @@ TEST_F(BatchTest, BatchActiveOnlyWhileNoPerEventObserverWatches)
 // The central property: over randomized homogeneous-run mixes of
 // every batchable primitive, the closed-form charges leave exactly
 // the per-event loop's state on every Table 1 machine — total cycles,
-// primitive cycles, all hardware counters, the kernel's stat file and
-// the full profiler tree (entries, self cycles, span histograms).
+// primitive cycles, all hardware counters and the kernel's counts.
 TEST_F(BatchTest, BatchedStateEqualsPerEventOnEveryTable1Machine)
 {
     for (const MachineDesc &m : table1Machines()) {
@@ -213,7 +197,6 @@ TEST_F(BatchTest, ZeroCountBatchesAreNoOps)
         SimKernel kernel(m);
         AddressSpace &space = kernel.createSpace("app");
         HwCounters::instance().enable();
-        Profiler::instance().enable();
         if (traced)
             Tracer::instance().enable(16);
         kernel.syscall(0);
@@ -226,7 +209,6 @@ TEST_F(BatchTest, ZeroCountBatchesAreNoOps)
         EXPECT_EQ(kernel.elapsedCycles(), 0u);
         EXPECT_EQ(kernel.counts(), SimKernel::Counts{});
         EXPECT_EQ(HwCounters::instance().snapshot().totalEvents(), 0u);
-        EXPECT_TRUE(Profiler::instance().root().children.empty());
         if (traced) {
             EXPECT_EQ(Tracer::instance().size(), 0u);
         }

@@ -4,7 +4,7 @@
  * percentiles, ProfScope nesting/reentrancy/exception safety, and the
  * central invariant — every cycle a primitive charges is attributed to
  * exactly one leaf of the tree (sum-of-leaves == total), asserted for
- * every Table 1 machine × primitive and end-to-end through SimKernel.
+ * every Table 1 machine × primitive.
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 
 #include "arch/machines.hh"
 #include "cpu/profiled_primitives.hh"
-#include "os/kernel/kernel.hh"
 #include "sim/profile/histogram.hh"
 #include "sim/profile/profile.hh"
 #include "sim/random.hh"
@@ -164,34 +163,6 @@ TEST(ProfHistogram, SampleMatchesNaiveReference)
         for (double p : {50.0, 90.0, 99.0, 99.9})
             EXPECT_DOUBLE_EQ(h.percentile(p), naivePercentile(sorted, p))
                 << len << " values at p" << p;
-    }
-}
-
-TEST(ProfHistogram, SampleNEqualsRepeatedSample)
-{
-    Rng rng(0x5a3f);
-    Histogram batched;
-    Histogram looped;
-    for (int run = 0; run < 200; ++run) {
-        const std::uint64_t v =
-            run == 0 ? 0
-            : run == 1 ? ~std::uint64_t{0}
-                       : rng.next() >> rng.below(64);
-        const std::uint64_t k = rng.below(6); // 0 is a no-op
-        batched.sampleN(v, k);
-        for (std::uint64_t i = 0; i < k; ++i)
-            looped.sample(v);
-
-        ASSERT_EQ(batched.count(), looped.count()) << run;
-        EXPECT_EQ(batched.total(), looped.total()) << run;
-        EXPECT_EQ(batched.min(), looped.min()) << run;
-        EXPECT_EQ(batched.max(), looped.max()) << run;
-        for (std::size_t i = 0; i < Histogram::bucketCount; ++i)
-            EXPECT_EQ(batched.bucket(i), looped.bucket(i))
-                << run << " bucket " << i;
-        for (double p : {50.0, 90.0, 99.0, 99.9})
-            EXPECT_DOUBLE_EQ(batched.percentile(p), looped.percentile(p))
-                << run << " at p" << p;
     }
 }
 
@@ -414,36 +385,6 @@ TEST_F(ProfilerTest, EveryTable1MachineAttributesEveryPrimitive)
                 << " cycles";
         }
     }
-}
-
-TEST_F(ProfilerTest, KernelChargesAreFullyAttributed)
-{
-    // End to end through SimKernel: primitives, TLB refills, purges
-    // and user code all land in the tree; nothing escapes.
-    Profiler &p = Profiler::instance();
-    p.enable();
-
-    SimKernel kernel(makeMachine(MachineId::R2000));
-    AddressSpace &client = kernel.createSpace("client");
-    AddressSpace &server = kernel.createSpace("server");
-    client.setWorkingSet(0x1000, 8);
-    server.setWorkingSet(0x2000, 8);
-    client.mapRange(0x1000, 8, 0x9000, {});
-    server.mapRange(0x2000, 8, 0xa000, {});
-
-    kernel.contextSwitchTo(client);
-    kernel.syscall();
-    kernel.trap();
-    kernel.contextSwitchTo(server);
-    kernel.runUserCode(500);
-    kernel.emulateInstructions(3);
-    kernel.threadSwitch();
-    kernel.contextSwitchTo(client);
-
-    p.disable();
-    EXPECT_GT(kernel.elapsedCycles(), 0u);
-    EXPECT_EQ(p.attributedCycles(), kernel.elapsedCycles());
-    EXPECT_EQ(p.sumOfLeaves(), kernel.elapsedCycles());
 }
 
 } // namespace
