@@ -224,8 +224,8 @@ class SimKernel
     /** Charge `c` primitive cycles to a span leaf. */
     void chargeLeaf(const char *leaf, Cycles c);
     /** Charge `n` events of `kind` (see the class comment); `edit(i)`
-     *  applies event i's state change. Forced inline: a traffic sweep
-     *  enters it several times per request. */
+     *  applies event i's state change. Forced inline: the Table-7
+     *  grid's replays enter it several times per simulated call. */
     template <typename StateEdit>
     [[gnu::always_inline]] void chargeEvents(KernelEvent kind, std::uint64_t n,
                                              bool sample_each, StateEdit edit);

@@ -4,7 +4,10 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdio>
+#include <deque>
 #include <functional>
+#include <numeric>
+#include <span>
 
 #include "sim/counters/counters.hh"
 #include "sim/profile/histogram.hh"
@@ -23,9 +26,9 @@ constexpr std::uint64_t trafficPtePages = 64;
 /**
  * A request class: a weighted mix of the kernel primitives whose
  * per-event prices reconcileKernelWindow() knows exactly (no
- * contextSwitchTo, no page touches), so every cell's kernel window
- * explains 100.0% of its primitive cycles — the driver's built-in
- * honesty check.
+ * contextSwitchTo, no page touches), so classServiceCycles() is its
+ * exact service time and every cell's kernel window explains 100.0%
+ * of its primitive cycles — the driver's built-in honesty check.
  */
 struct RequestClass
 {
@@ -139,33 +142,32 @@ diurnalFactor(double x)
     return x <= 0.5 ? 0.5 + 2.0 * x : 2.5 - 2.0 * x;
 }
 
-/** Issue one request's primitive mix, one kernel entry point call
- *  per event kind. `pte_cursor` round-robins the mapped PTE range. */
+/** Charge a cell's requests, `issued[i]` of class i, with one kernel
+ *  entry point call per event kind over the cell's totals. The PTE
+ *  changes sweep the mapped range in passes of at most
+ *  trafficPtePages pages, so no vpn list grows with the cell. */
 void
-issueRequest(SimKernel &kernel, AddressSpace &space,
-             const RequestClass &c, std::vector<Vpn> &vpn_scratch,
-             std::uint64_t &pte_cursor)
+chargeRequests(SimKernel &kernel, AddressSpace &space,
+               const std::array<std::uint64_t, numRequestClasses> &issued)
 {
-    if (c.syscalls)
-        kernel.syscall(c.syscalls);
-    if (c.traps)
-        kernel.trap(c.traps);
-    if (c.exceptions)
-        kernel.otherException(c.exceptions);
-    if (c.threadSwitches)
-        kernel.threadSwitch(c.threadSwitches);
-    if (c.tasOps)
-        kernel.emulateTestAndSet(c.tasOps);
-    if (c.emulInstrs)
-        kernel.emulateSingleInstructions(c.emulInstrs);
-    if (c.pteChanges) {
-        vpn_scratch.clear();
-        for (std::uint32_t i = 0; i < c.pteChanges; ++i)
-            vpn_scratch.push_back(trafficPteBase +
-                                  pte_cursor++ % trafficPtePages);
-        PageProt prot;
-        prot.writable = (pte_cursor & 1) != 0;
-        kernel.pteChange(space, vpn_scratch, prot);
+    auto total = [&](std::uint32_t RequestClass::*events) {
+        std::uint64_t t = 0;
+        for (std::size_t i = 0; i < numRequestClasses; ++i)
+            t += issued[i] * (requestClasses[i].*events);
+        return t;
+    };
+    kernel.syscall(total(&RequestClass::syscalls));
+    kernel.trap(total(&RequestClass::traps));
+    kernel.otherException(total(&RequestClass::exceptions));
+    kernel.threadSwitch(total(&RequestClass::threadSwitches));
+    kernel.emulateTestAndSet(total(&RequestClass::tasOps));
+    kernel.emulateSingleInstructions(total(&RequestClass::emulInstrs));
+    std::array<Vpn, trafficPtePages> ring;
+    std::iota(ring.begin(), ring.end(), trafficPteBase);
+    for (std::uint64_t left = total(&RequestClass::pteChanges); left;) {
+        const std::uint64_t pass = std::min(left, trafficPtePages);
+        kernel.pteChange(space, std::span(ring).first(pass), {});
+        left -= pass;
     }
 }
 
@@ -251,16 +253,9 @@ runCell(const TrafficConfig &cfg, MachineId mid, std::size_t level_idx)
     const double mean_service = meanServiceCycles(kc);
     const std::uint64_t n = cfg.requestsPerLevel;
     const std::uint32_t total_weight = totalClassWeight();
-
-    SimKernel kernel(desc);
-    AddressSpace &space = kernel.createSpace("traffic");
-    space.mapRange(trafficPteBase, trafficPtePages, 0x50000, {});
-
-    // Own counter session per cell (the os_model idiom): enable()
-    // resets this worker thread's counter file; restore on exit.
-    bool ctrs_were_on = HwCounters::instance().enabled();
-    HwCounters::instance().enable();
-    CounterSet ctr_base = HwCounters::instance().snapshot();
+    std::array<Cycles, numRequestClasses> class_service;
+    for (std::size_t i = 0; i < numRequestClasses; ++i)
+        class_service[i] = classServiceCycles(requestClasses[i], kc);
 
     Rng rng(cellSeed(cfg.seed, mid, level_idx));
     BurstyState bursty;
@@ -269,8 +264,7 @@ runCell(const TrafficConfig &cfg, MachineId mid, std::size_t level_idx)
     Histogram wait_all;
     std::array<Histogram, numRequestClasses> latency_class;
     std::vector<SlowRequest> slowest;
-    std::vector<Vpn> vpn_scratch;
-    std::uint64_t pte_cursor = 0;
+    std::array<std::uint64_t, numRequestClasses> issued{};
 
     Cycles server_free = 0;
     Cycles last_finish = 0;
@@ -286,12 +280,10 @@ runCell(const TrafficConfig &cfg, MachineId mid, std::size_t level_idx)
     const double think_bound = 2.0 * cfg.thinkFactor * mean_service;
 
     Cycles next_arrival = 0;
-    std::vector<Cycles> open_finishes; ///< FIFO window for queue depth
-    std::size_t open_head = 0;
+    /** Open loop: completions still ahead of the latest arrival. */
+    std::deque<Cycles> open_finishes;
     std::vector<Cycles> next_submit;
-    if (open) {
-        open_finishes.reserve(n);
-    } else {
+    if (!open) {
         next_submit.resize(clients);
         for (std::uint64_t c = 0; c < clients; ++c)
             next_submit[c] = drawUpTo(rng, think_bound);
@@ -322,10 +314,10 @@ runCell(const TrafficConfig &cfg, MachineId mid, std::size_t level_idx)
                 break;
               }
             }
-            while (open_head < open_finishes.size() &&
-                   open_finishes[open_head] <= arrival)
-                ++open_head;
-            depth = open_finishes.size() - open_head + 1;
+            while (!open_finishes.empty() &&
+                   open_finishes.front() <= arrival)
+                open_finishes.pop_front();
+            depth = open_finishes.size() + 1;
         } else {
             client = 0;
             for (std::uint64_t c = 1; c < clients; ++c) {
@@ -349,9 +341,8 @@ runCell(const TrafficConfig &cfg, MachineId mid, std::size_t level_idx)
         const RequestClass &cls = requestClasses[cls_idx];
 
         const Cycles start = std::max(arrival, server_free);
-        const Cycles before = kernel.elapsedCycles();
-        issueRequest(kernel, space, cls, vpn_scratch, pte_cursor);
-        const Cycles service = kernel.elapsedCycles() - before;
+        const Cycles service = class_service[cls_idx];
+        ++issued[cls_idx];
         const Cycles finish = start + service;
         const Cycles wait = start - arrival;
 
@@ -372,6 +363,17 @@ runCell(const TrafficConfig &cfg, MachineId mid, std::size_t level_idx)
 
     std::sort_heap(slowest.begin(), slowest.end(), slowerRequest);
 
+    SimKernel kernel(desc);
+    AddressSpace &space = kernel.createSpace("traffic");
+    space.mapRange(trafficPteBase, trafficPtePages, 0x50000, {});
+
+    // Own counter session per cell (the os_model idiom): enable()
+    // resets this worker thread's counter file; restore on exit.
+    bool ctrs_were_on = HwCounters::instance().enabled();
+    HwCounters::instance().enable();
+    CounterSet ctr_base = HwCounters::instance().snapshot();
+
+    chargeRequests(kernel, space, issued);
     CounterSet events =
         HwCounters::instance().snapshot().delta(ctr_base);
     Reconciliation recon = reconcileKernelWindow(

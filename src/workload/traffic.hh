@@ -20,10 +20,14 @@
  *
  * Everything is integer-cycle or +,-,×,÷ double arithmetic on
  * deterministic Rng draws — no libm — so traffic.json is
- * byte-identical across --jobs values. SimKernel's closed-form
- * charging of a run of n events is what makes million-request sweeps
- * affordable: each request's primitive runs are charged in one update
- * each instead of event by event.
+ * byte-identical across --jobs values. Every event a request class
+ * issues charges a per-machine constant (SimKernel's closed form is
+ * per-event price × n, and a PTE change's edit charges no cycles), so
+ * each class's service time is priced once per cell from
+ * kernelWindowCosts(), a request only bumps its class's count, and the
+ * cell's end charges the kernel once per event kind with the totals.
+ * The counters and primitive cycles are linear in those totals, so the
+ * kernel window reconciles to the same bytes.
  */
 
 #ifndef AOSD_WORKLOAD_TRAFFIC_HH
@@ -83,7 +87,8 @@ struct TrafficConfig
 };
 
 /** Largest request count per cell a sweep may ask for (the open loop
- *  keeps one completion time per request). */
+ *  keeps the completion times still ahead of the latest arrival, at
+ *  most one per request when the server never catches up). */
 constexpr std::uint64_t trafficMaxRequests = 100'000'000;
 /** Largest open-loop offered load, as a multiple of capacity. */
 constexpr double trafficMaxOpenLoad = 100.0;

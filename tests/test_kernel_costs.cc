@@ -3,16 +3,22 @@
  * Tests for the constants the kernel charges per event: every cached
  * PrimitiveCostDb entry equals a fresh interpreter run of its handler
  * program, and the emulated test&set and software TLB-refill prices
- * equal the interpreted totals of their instruction streams.
+ * equal the interpreted totals of their instruction streams, and
+ * every kernel event a traffic request class issues charges exactly
+ * its kernel-window price whatever state the kernel is in.
  */
 
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "arch/machines.hh"
 #include "cpu/exec_model.hh"
 #include "cpu/handlers.hh"
 #include "cpu/primitive_costs.hh"
 #include "os/kernel/kernel.hh"
+#include "sim/trace.hh"
 
 namespace aosd
 {
@@ -93,6 +99,78 @@ TEST(KernelCostTest, TlbRefillSeqTotalsEqualTheMissConstants)
             ExecModel exec(m);
             EXPECT_EQ(exec.runStream(tlbRefillSeq(m, kernel)).cycles,
                       want);
+        }
+    }
+}
+
+// The traffic driver prices a request class once per cell from
+// kernelWindowCosts() and charges the kernel once per event kind at
+// the cell's end. That is exact only if one event of each kind the
+// classes use advances both clocks by its window price alone, in any
+// kernel state and under either charging body.
+TEST(KernelCostTest, EachEventChargesItsWindowPriceInAnyState)
+{
+    constexpr Vpn base = 0x1000;
+    constexpr std::uint64_t pages = 64;
+    enum PriorState { Fresh, SwitchedAndTouched, AfterPteChanges };
+    const char *const state_names[] = {"fresh", "switched and touched",
+                                       "after PTE changes"};
+    for (const MachineDesc &m : allMachines()) {
+        const KernelWindowCosts kc = kernelWindowCosts(m);
+        for (PriorState state :
+             {Fresh, SwitchedAndTouched, AfterPteChanges}) {
+            for (bool per_event : {false, true}) {
+                SCOPED_TRACE(std::string(m.name) + ", " +
+                             state_names[state] +
+                             (per_event ? ", per-event" : ", closed form"));
+                SimKernel kernel(m);
+                AddressSpace &space = kernel.createSpace("prices");
+                space.mapRange(base, pages, 0x50000, {});
+                space.setWorkingSet(base, 8);
+                if (state == SwitchedAndTouched) {
+                    kernel.contextSwitchTo(space);
+                    kernel.touchPages({base, base + 1, base + 9}, false);
+                    kernel.touchPages({0x800, 0x801}, true);
+                } else if (state == AfterPteChanges) {
+                    const std::vector<Vpn> earlier = {base, base + 1,
+                                                      base + 2, base};
+                    kernel.pteChange(space, earlier, {});
+                }
+
+                if (per_event)
+                    Tracer::instance().enable(1 << 10);
+                EXPECT_EQ(kernel.batchActive(), !per_event);
+                auto expectCharges = [&](const char *kind, Cycles price,
+                                         auto event) {
+                    SCOPED_TRACE(kind);
+                    const Cycles elapsed = kernel.elapsedCycles();
+                    const Cycles prim = kernel.primitiveCycles();
+                    event();
+                    EXPECT_EQ(kernel.elapsedCycles() - elapsed, price);
+                    EXPECT_EQ(kernel.primitiveCycles() - prim, price);
+                };
+                expectCharges("syscall", kc.syscallCycles,
+                              [&] { kernel.syscall(1); });
+                expectCharges("trap", kc.trapCycles,
+                              [&] { kernel.trap(1); });
+                expectCharges("other exception", kc.trapCycles,
+                              [&] { kernel.otherException(1); });
+                expectCharges("thread switch", kc.switchCycles,
+                              [&] { kernel.threadSwitch(1); });
+                expectCharges("emulated test&set", kc.emulTasCycles,
+                              [&] { kernel.emulateTestAndSet(1); });
+                expectCharges("emulated instruction", kc.emulInstrCycles,
+                              [&] { kernel.emulateSingleInstructions(1); });
+                PageProt writable;
+                writable.writable = true;
+                expectCharges("pte change", kc.pteChangeCycles, [&] {
+                    kernel.pteChange(space, base + 1, writable);
+                });
+                if (per_event) {
+                    Tracer::instance().disable();
+                    Tracer::instance().clear();
+                }
+            }
         }
     }
 }

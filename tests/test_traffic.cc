@@ -291,6 +291,27 @@ TEST_F(TrafficTest, SmallSweepBytesPinned)
     closed.levels = {2, 8};
     EXPECT_EQ(fnv1a(buildTrafficDoc(closed, serial).dump(1)),
               "7e721e640e58bced");
+
+    TrafficConfig diurnal = smallConfig();
+    diurnal.arrival = TrafficArrival::Diurnal;
+    EXPECT_EQ(fnv1a(buildTrafficDoc(diurnal, serial).dump(1)),
+              "af7c31cc87e46d40");
+
+    // The SPARC's virtual cache counts flushed lines on every PTE
+    // change; the M88000 and R2000 price the other TLB and cache
+    // designs.
+    TrafficConfig designs = smallConfig();
+    designs.machines = {MachineId::SPARC, MachineId::M88000,
+                        MachineId::R2000};
+    EXPECT_EQ(fnv1a(buildTrafficDoc(designs, serial).dump(1)),
+              "e934bbbfe32f1b9e");
+
+    // Populations from one client to far past saturation.
+    TrafficConfig crowd = smallConfig();
+    crowd.mode = TrafficMode::Closed;
+    crowd.levels = {1, 4, 16, 64};
+    EXPECT_EQ(fnv1a(buildTrafficDoc(crowd, serial).dump(1)),
+              "513745f7e19a89f6");
 }
 
 TEST_F(TrafficTest, PerfDbIngestDigestsOutExemplars)
